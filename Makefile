@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint lint-json suppress-check fmt-check bench bench-gate bench-json fuzz fuzz-regress
+.PHONY: ci build test race vet lint lint-json suppress-check fmt-check perfbench bench bench-gate bench-json fuzz fuzz-regress
 
 ## ci: the standard verification gate — vet, build, race-enabled tests,
 ## the project linter, a gofmt cleanliness check, the suppression audit,
-## and the checked-in fuzz corpus replayed as regression tests. Run
-## before every commit.
-ci: vet build race lint suppress-check fmt-check fuzz-regress
+## the checked-in fuzz corpus replayed as regression tests, and the
+## perfbench module's vet and tests. Run before every commit.
+ci: vet build race lint suppress-check fmt-check fuzz-regress perfbench
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,14 @@ fmt-check:
 	@out=$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l); \
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+## perfbench: vet and test the frame-to-verdict benchmark (~20 s).
+## perfbench/ is a Go module of its own that points at the repository
+## root, so the root `go build ./... && go test ./...` never compiles it;
+## this target catches API changes to the VSwitch and service entry
+## points it calls.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...

@@ -9,8 +9,9 @@ import (
 // Stage is one step of a packet's traversal trace: a cache-tier lookup, a
 // per-LTM-table match, the slowpath pipeline walk, or rule installation.
 type Stage struct {
-	// Name identifies the stage: "microflow", "gigaflow", "megaflow",
-	// "ltm-table", "slowpath", "partition+install".
+	// Name identifies the stage: "microflow", "conntrack", "gigaflow",
+	// "megaflow", "ltm-table", "slowpath", "partition+install", or "park"
+	// (a miss handed to the upcall engine).
 	Name string `json:"name"`
 	// Table is the LTM cache table index for "ltm-table" stages; -1 on
 	// stages that are not per-table annotations (0 is a real index, so it
@@ -162,6 +163,8 @@ func (b *TraceBuilder) SetKey(k string) { b.tr.Key = k }
 func (b *TraceBuilder) SetWorker(w string) { b.tr.Worker = w }
 
 // Begin opens a timed stage.
+//
+//gf:hotpath-safe a builder exists only for a sampled packet; stages append and read the clock by contract
 func (b *TraceBuilder) Begin(name string) {
 	b.tr.Stages = append(b.tr.Stages, Stage{Name: name, Table: -1, Tag: -1, Priority: -1})
 	b.stageStart = time.Now()
@@ -169,6 +172,8 @@ func (b *TraceBuilder) Begin(name string) {
 
 // End closes the most recently opened stage, recording its duration and
 // hit flag.
+//
+//gf:hotpath-safe a builder exists only for a sampled packet; closing a stage reads the clock by contract
 func (b *TraceBuilder) End(hit bool) {
 	s := &b.tr.Stages[len(b.tr.Stages)-1]
 	s.DurNs = time.Since(b.stageStart).Nanoseconds()
@@ -177,6 +182,8 @@ func (b *TraceBuilder) End(hit bool) {
 
 // Note appends an annotation stage (no duration): one matched LTM table
 // with its index, tag, and priority.
+//
+//gf:hotpath-safe a builder exists only for a sampled packet; annotations append by contract
 func (b *TraceBuilder) Note(name string, table, tag, priority int) {
 	b.tr.Stages = append(b.tr.Stages, Stage{
 		Name: name, Table: table, Tag: tag, Priority: priority, Hit: true,

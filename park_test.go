@@ -2,8 +2,19 @@ package gigaflow
 
 import "testing"
 
+// processPark is a one-packet ProcessBatchPark call: the park-mode
+// counterpart of Process.
+func processPark(v *VSwitch, k Key, now int64) (ProcessResult, bool, error) {
+	keys := [1]Key{k}
+	var out [1]ProcessResult
+	var errs [1]error
+	var parked [1]bool
+	v.ProcessBatchPark(keys[:], nil, out[:], errs[:], parked[:], now)
+	return out[0], parked[0], errs[0]
+}
+
 // TestParkCompleteMatchesInline drives the same key sequence through
-// inline Process and through the park-mode protocol (ProcessPark, then
+// inline Process and through the park-mode protocol (ProcessBatchPark, then
 // CompleteMiss on the engine-traversed result — or ProcessMissInline for
 // the overflow-fallback packets), on both backends with a Microflow
 // tier. Results and every counter must be identical: parking defers the
@@ -32,7 +43,7 @@ func TestParkCompleteMatchesInline(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				got, parked, err := pkVS.ProcessPark(k, now)
+				got, parked, err := processPark(pkVS, k, now)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +122,7 @@ func TestProcessBatchParkFollowers(t *testing.T) {
 			got := make([]ProcessResult, len(keys))
 			gerrs := make([]error, len(keys))
 			parked := make([]bool, len(keys))
-			pkVS.ProcessBatchPark(keys, got, gerrs, parked, 0)
+			pkVS.ProcessBatchPark(keys, nil, got, gerrs, parked, 0)
 
 			if st := pkVS.Stats(); st.Packets != 0 {
 				t.Fatalf("parked-only batch counted %d packets", st.Packets)
@@ -143,7 +154,7 @@ func TestProcessBatchParkFollowers(t *testing.T) {
 				// installed a wildcard entry that covers this flow (inline,
 				// this packet would have hit it). Only a still-missing flow
 				// consumes its traversal.
-				r, stillParked, err := pkVS.ProcessPark(k, 0)
+				r, stillParked, err := processPark(pkVS, k, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,15 +193,16 @@ func TestProcessBatchParkFollowers(t *testing.T) {
 }
 
 // TestParkWarmPathZeroAlloc pins the park-mode warm path at zero
-// allocations per operation: once a flow is cached, ProcessPark and
-// ProcessBatchPark must be allocation-free exactly like Process — the
-// offload machinery only ever spends memory on actual misses.
+// allocations per operation: once a flow is cached, one-packet and
+// batched ProcessBatchPark calls must be allocation-free exactly like
+// Process — the offload machinery only ever spends memory on actual
+// misses.
 func TestParkWarmPathZeroAlloc(t *testing.T) {
 	v := NewVSwitch(buildDemoPipeline(),
 		CacheConfig{NumTables: 3, TableCapacity: 64},
 		WithMicroflow(32))
 	k := demoKey(1, 80)
-	if _, _, err := v.ProcessPark(k, 0); err != nil {
+	if _, _, err := processPark(v, k, 0); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := v.Pipeline().Process(k)
@@ -202,11 +214,11 @@ func TestParkWarmPathZeroAlloc(t *testing.T) {
 	}
 
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if _, parked, _ := v.ProcessPark(k, 1); parked {
+		if _, parked, _ := processPark(v, k, 1); parked {
 			t.Fatal("warm flow parked")
 		}
 	}); allocs != 0 {
-		t.Fatalf("ProcessPark warm path allocates %.1f/op, want 0", allocs)
+		t.Fatalf("one-packet ProcessBatchPark warm path allocates %.1f/op, want 0", allocs)
 	}
 
 	keys := []Key{k, k, k, k}
@@ -214,7 +226,7 @@ func TestParkWarmPathZeroAlloc(t *testing.T) {
 	errs := make([]error, len(keys))
 	parked := make([]bool, len(keys))
 	if allocs := testing.AllocsPerRun(1000, func() {
-		v.ProcessBatchPark(keys, out, errs, parked, 2)
+		v.ProcessBatchPark(keys, nil, out, errs, parked, 2)
 	}); allocs != 0 {
 		t.Fatalf("ProcessBatchPark warm path allocates %.1f/op, want 0", allocs)
 	}

@@ -77,12 +77,33 @@ type batchJob struct {
 	resp     chan<- Result  // optional per-result fan-out
 	gathered bool           // completion collected by the submitter
 
-	// pending refcounts outstanding work in async offload mode: 1 for the
-	// batch scan plus 1 per parked packet, each released on delivery, so
-	// done fires exactly once — when the last parked packet resolves (or
-	// at scan end if nothing parked). Worker-goroutine-only; unused (0)
-	// in synchronous mode.
+	// pending refcounts outstanding work: 1 for the batch scan plus 1
+	// per parked packet (async offload mode), each released by settle,
+	// so done fires exactly once — when the last parked packet resolves,
+	// or at scan end if nothing parked. Worker goroutine only.
 	pending int
+}
+
+// settle releases one unit of the job's outstanding work (see pending),
+// signalling done when it was the last. Worker goroutine only.
+func (j *batchJob) settle() {
+	j.pending--
+	if j.pending == 0 && j.done != nil {
+		j.done <- j
+	}
+}
+
+// offer streams r to the job's response channel without blocking: the
+// shutdown paths fail packets this way, since a fire-and-forget submitter
+// may have stopped reading.
+func (j *batchJob) offer(r Result) {
+	if j.resp == nil {
+		return
+	}
+	select {
+	case j.resp <- r:
+	default:
+	}
 }
 
 // collect copies a completed job's results back into the batch — and,
@@ -252,19 +273,20 @@ func (s *Service) Submit(ctx context.Context, k gigaflow.Key, opts ...SubmitOpti
 }
 
 // submitKey is the single-key body shared by Submit and SubmitFrame
-// (which injects the decoded TCP flags into o.meta itself).
+// (which injects the decoded TCP flags into o.meta itself): a one-request
+// batch through the same submission path as SubmitBatch, blocking or not.
 func (s *Service) submitKey(ctx context.Context, k gigaflow.Key, o submitOpts) (Result, error) {
-	if o.nonblocking {
-		return Result{}, s.enqueueOne(k, o.meta, o.resp)
-	}
 	b := batchPool.Get().(*Batch)
 	b.Reset()
 	b.AddMeta(k, o.meta)
 	err := s.submit(ctx, b, o)
 	r := b.reqs[0].Result
 	batchPool.Put(b)
-	if err != nil {
+	switch {
+	case err != nil:
 		return Result{}, err
+	case o.nonblocking:
+		return Result{}, r.Err // the enqueue outcome only
 	}
 	return r, r.Err
 }
@@ -368,7 +390,7 @@ enqueue:
 		}
 		j.res = j.res[:len(j.keys)]
 		select {
-		case s.workers[w].in <- packet{job: j}:
+		case s.workers[w].in <- message{job: j}:
 			enqueued++
 		case <-ctx.Done():
 			callErr = ctx.Err()
@@ -475,7 +497,7 @@ func (s *Service) submitNonblocking(b *Batch, resp chan<- Result) error {
 		}
 		j.res = make([]Result, len(j.keys))
 		select {
-		case s.workers[w].in <- packet{job: j}:
+		case s.workers[w].in <- message{job: j}:
 		default:
 			s.workers[w].drops.Add(uint64(len(j.keys)))
 			for _, ri := range j.idx {
@@ -484,17 +506,4 @@ func (s *Service) submitNonblocking(b *Batch, resp chan<- Result) error {
 		}
 	}
 	return nil
-}
-
-// enqueueOne is the single-packet nonblocking path: one packet message,
-// no job bookkeeping.
-func (s *Service) enqueueOne(k gigaflow.Key, meta uint8, resp chan<- Result) error {
-	w := s.workers[s.shardOfKey(&k)]
-	select {
-	case w.in <- packet{key: k, meta: meta, resp: resp}:
-		return nil
-	default:
-		w.drops.Add(1)
-		return ErrQueueFull
-	}
 }

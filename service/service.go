@@ -240,8 +240,11 @@ type Config struct {
 	// Expiry configures the periodic idle sweep.
 	Expiry ExpiryConfig
 	// Upcall configures the asynchronous slow-path offload. Mutually
-	// exclusive with Conntrack.Enable: the offload's parked slowpath is
-	// stateless.
+	// exclusive with Conntrack.Enable: a parked packet has already run
+	// the connection state machine, so its followers would need to resume
+	// after tracking rather than be replayed through it, and a deferred
+	// NAT binding would reorder the table-wide epoch draws that pick pool
+	// targets.
 	Upcall UpcallConfig
 	// Latency configures the latency attribution layer.
 	Latency LatencyConfig
@@ -293,7 +296,7 @@ func (c Config) validate() error {
 		return errors.New("service: Expiry.Every set but MaxIdle is 0 (expiry would never evict)")
 	}
 	if c.Conntrack.Enable && c.Upcall.Workers > 0 {
-		return errors.New("service: Conntrack and the Upcall offload are mutually exclusive (the parked slowpath is stateless)")
+		return errors.New("service: Conntrack and the Upcall offload are mutually exclusive (parked packets are already tracked, and deferred NAT bindings would reorder epoch draws)")
 	}
 	switch c.Backend {
 	case BackendGigaflow:
@@ -354,18 +357,16 @@ type Result struct {
 	Err      error
 }
 
-// packet is one queued unit of work: a flow key to forward, a batch job
-// (many keys crossing the channel as one message), a control function
-// (rule update / revalidation / expiry) executed inline on the worker
-// goroutine so its pipeline and cache are never touched concurrently, or
-// a group of engine-completed upcalls to apply (async offload mode).
-type packet struct {
-	key     gigaflow.Key
-	meta    uint8 // TCP flag byte for the conntrack state machine
-	resp    chan<- Result
+// message is one unit of work on a worker's input queue: a batch job
+// (every submission, even a single key, crosses the channel as one), a
+// group of engine-completed upcalls to apply (async offload mode), or a
+// control function (rule update, revalidation, expiry, a stats snapshot)
+// executed inline on the worker goroutine so its pipeline and cache are
+// never touched concurrently. Exactly one field is set.
+type message struct {
 	job     *batchJob
-	control func()
 	comp    []*upcall.Miss[parked]
+	control func()
 }
 
 // worker owns one pipeline replica and one cache shard.
@@ -373,11 +374,11 @@ type worker struct {
 	vs    *gigaflow.VSwitch
 	rec   *telemetry.LatencyRecorder // nil when Config.Latency.Disable
 	fm    *frameMetrics              // shared frame accounting (atomic counters)
-	in    chan packet
+	in    chan message
 	label string // worker index, precomputed for metric labels
 
-	// Scratch for ProcessBatch output, grown to the largest job seen so
-	// the steady-state batch path allocates nothing.
+	// Kernel output scratch (see scratch), grown to the largest job seen
+	// so the steady-state batch path allocates nothing.
 	procOut  []gigaflow.ProcessResult
 	procErr  []error
 	procPark []bool
@@ -536,7 +537,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		w := &worker{
 			rec:   rec,
 			fm:    s.frames,
-			in:    make(chan packet, cfg.QueueDepth),
+			in:    make(chan message, cfg.QueueDepth),
 			label: fmt.Sprintf("%d", i),
 		}
 		if cfg.Upcall.Workers > 0 {
@@ -612,57 +613,34 @@ func (s *Service) runWorker(ctx context.Context, w *worker) {
 		case <-ctx.Done():
 			w.drain()
 			return
-		case pkt := <-w.in:
-			w.run(pkt)
+		case m := <-w.in:
+			w.run(m)
 		}
 	}
 }
 
 // run executes one queued message on the worker goroutine. The wall
-// clock is read once per message and threaded through both the
-// single-packet and batch paths, so the two age caches identically and
+// clock is read once per message and threaded through the whole job or
+// completion group, so every packet in it ages the caches identically and
 // the latency recorder anchors its flight timestamps on the same stamp
 // that touched the cache entries.
-func (w *worker) run(pkt packet) {
+func (w *worker) run(m message) {
 	switch {
-	case pkt.control != nil:
-		pkt.control()
-	case pkt.comp != nil:
+	case m.job != nil:
+		w.runJob(m.job, time.Now().UnixNano())
+	case m.comp != nil:
 		now := time.Now().UnixNano()
-		for _, m := range pkt.comp {
-			w.complete(m, now)
+		for _, c := range m.comp {
+			w.complete(c, now)
 		}
-	case pkt.job != nil:
-		w.runJob(pkt.job, time.Now().UnixNano())
-	default:
-		now := time.Now().UnixNano()
-		if w.async {
-			res, wasParked, err := w.vs.ProcessPark(pkt.key, now)
-			if wasParked {
-				if w.parkOne(pkt.key, parked{idx: -1, resp: pkt.resp}, now) {
-					return // answered later, by complete or sweepParked
-				}
-				r := w.parkFallback(pkt.key, now)
-				if pkt.resp != nil {
-					pkt.resp <- r
-				}
-				return
-			}
-			if pkt.resp != nil {
-				pkt.resp <- Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err}
-			}
-			return
-		}
-		res, err := w.vs.ProcessMeta(pkt.key, pkt.meta, now)
-		if pkt.resp != nil {
-			pkt.resp <- Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err}
-		}
+	case m.control != nil:
+		m.control()
 	}
 }
 
-// runJob processes one batch job: a single ProcessBatch call covers every
-// key — one VSwitch stats flush and one counter flush per cache tier for
-// the whole job — then results fan back to the submitter, who paid one
+// runJob processes one batch job: a single kernel call covers every key
+// — one VSwitch stats flush and one counter flush per cache tier for the
+// whole job — then results fan back to the submitter, who paid one
 // channel message for all of them. now is the message's single wall-clock
 // stamp, shared by every packet in the job.
 func (w *worker) runJob(j *batchJob, now int64) {
@@ -682,37 +660,21 @@ func (w *worker) runJob(j *batchJob, now int64) {
 		}
 	}
 	n := len(j.keys)
-	if cap(w.procOut) < n {
-		w.procOut = make([]gigaflow.ProcessResult, n)
-		w.procErr = make([]error, n)
-		w.procPark = make([]bool, n)
-	}
-	out := w.procOut[:n]
-	errs := w.procErr[:n]
-	if !w.async {
+	out, errs, parks := w.scratch(n)
+	if w.async {
+		// Async offload: hits resolve in the batch scan; misses park behind
+		// their flows and answer later via complete.
+		w.vs.ProcessBatchPark(j.keys, j.metas, out, errs, parks, now)
+	} else {
 		w.vs.ProcessBatchMeta(j.keys, j.metas, out, errs, now)
-		for i := 0; i < n; i++ {
-			j.res[i] = Result{Verdict: out[i].Verdict, Final: out[i].Final, CacheHit: out[i].CacheHit, Err: errs[i]}
-			if j.resp != nil {
-				j.resp <- j.res[i]
-			}
-		}
-		if j.done != nil {
-			j.done <- j
-		}
-		return
+		parks = nil
 	}
-	// Async offload: hits resolve in the batch scan; misses park behind
-	// their flows and answer later via complete. j.pending starts at 1 for
-	// the scan itself so a completion racing in mid-scan (impossible
-	// today — completions arrive on this same goroutine — but cheap to
-	// make structural) can never fire done early; the scan's own unit is
-	// released at the end, signalling done if nothing parked.
-	parks := w.procPark[:n]
-	w.vs.ProcessBatchPark(j.keys, out, errs, parks, now)
+	// j.pending counts the scan itself plus one per parked packet, so done
+	// fires exactly once: here if nothing parked, otherwise on the last
+	// parked packet's delivery.
 	j.pending = 1
 	for i := 0; i < n; i++ {
-		if parks[i] {
+		if parks != nil && parks[i] {
 			if w.parkOne(j.keys[i], parked{job: j, idx: i}, now) {
 				j.pending++
 				continue
@@ -725,48 +687,43 @@ func (w *worker) runJob(j *batchJob, now int64) {
 			j.resp <- j.res[i]
 		}
 	}
-	j.pending--
-	if j.pending == 0 && j.done != nil {
-		j.done <- j
+	j.settle()
+}
+
+// scratch returns the worker's kernel output buffers sized to n, grown to
+// the largest job seen so the steady-state batch path allocates nothing.
+func (w *worker) scratch(n int) ([]gigaflow.ProcessResult, []error, []bool) {
+	if cap(w.procOut) < n {
+		w.procOut = make([]gigaflow.ProcessResult, n)
+		w.procErr = make([]error, n)
+		w.procPark = make([]bool, n)
 	}
+	return w.procOut[:n], w.procErr[:n], w.procPark[:n]
 }
 
 // drain completes work still queued at shutdown so blocking submitters
-// are never stranded: control ops run normally (they only touch
-// worker-owned state and buffered channels), upcall completions already
-// delivered by the engine are applied normally (their submitters get
-// real results), while packets and jobs fail with ErrClosed. The loop
-// stops as soon as the queue is momentarily empty — late nonblocking
-// submissions after that point are dropped with the queue, exactly like
-// packets lost in a NIC ring at teardown — and then the pending-flow
-// table is swept so parked packets whose completions never arrived fail
-// with ErrClosed too.
+// are never stranded: control ops and upcall completions already
+// delivered by the engine run normally (their submitters get real
+// results), while queued jobs fail with ErrClosed. The loop stops as soon
+// as the queue is momentarily empty — late nonblocking submissions after
+// that point are dropped with the queue, exactly like packets lost in a
+// NIC ring at teardown — and then the pending-flow table is swept so
+// parked packets whose completions never arrived fail with ErrClosed too.
 func (w *worker) drain() {
 	for {
 		select {
-		case pkt := <-w.in:
-			switch {
-			case pkt.control != nil:
-				pkt.control()
-			case pkt.comp != nil:
-				now := time.Now().UnixNano()
-				for _, m := range pkt.comp {
-					w.complete(m, now)
-				}
-			case pkt.job != nil:
-				for i := range pkt.job.res {
-					pkt.job.res[i] = Result{Err: ErrClosed}
-				}
-				if pkt.job.done != nil {
-					pkt.job.done <- pkt.job
-				}
-			default:
-				if pkt.resp != nil {
-					select {
-					case pkt.resp <- Result{Err: ErrClosed}:
-					default:
-					}
-				}
+		case m := <-w.in:
+			if m.job == nil {
+				w.run(m)
+				continue
+			}
+			j := m.job
+			for i := range j.res {
+				j.res[i] = Result{Err: ErrClosed}
+				j.offer(j.res[i])
+			}
+			if j.done != nil {
+				j.done <- j
 			}
 		default:
 			w.sweepParked()
@@ -786,16 +743,43 @@ func (s *Service) runExpiry(ctx context.Context) {
 		case <-ticker.C:
 			now := time.Now().UnixNano()
 			for _, w := range s.workers {
-				w := w
 				// A full queue skips this sweep; the next tick retries.
 				select {
-				case w.in <- packet{control: func() { w.vs.ExpireIdle(now) }}:
+				case w.in <- message{control: func() { w.vs.ExpireIdle(now) }}:
 				default:
 					w.skips.Add(1)
 				}
 			}
 		}
 	}
+}
+
+// onWorkers runs fn on every worker's own goroutine — a control op queued
+// behind the work already waiting there, since a worker's pipeline and
+// caches are single-threaded — and waits for all of them. fn runs
+// concurrently across workers. Cancelling ctx abandons the wait; ops
+// already queued still run.
+func (s *Service) onWorkers(ctx context.Context, fn func(i int, w *worker)) error {
+	done := make(chan struct{}, len(s.workers))
+	for i, w := range s.workers {
+		op := message{control: func() {
+			fn(i, w)
+			done <- struct{}{}
+		}}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case w.in <- op:
+		}
+	}
+	for range s.workers {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-done:
+		}
+	}
+	return nil
 }
 
 // UpdateRules applies a deterministic mutation to every worker's pipeline
@@ -805,78 +789,46 @@ func (s *Service) runExpiry(ctx context.Context) {
 // returned (replicas that already applied it keep the change and a
 // consistent revalidated cache).
 func (s *Service) UpdateRules(ctx context.Context, fn func(p *gigaflow.Pipeline) error) error {
-	errs := make(chan error, len(s.workers))
-	for _, w := range s.workers {
-		w := w
-		op := packet{control: func() {
-			// Rule mutation and revalidation race the upcall engine's
-			// traversals of this replica; slowMu excludes them. (Held
-			// uncontended in synchronous mode.) The error send stays
-			// outside the critical section.
-			w.slowMu.Lock()
-			err := fn(w.vs.Pipeline())
-			if err == nil {
-				w.vs.Revalidate()
-			}
-			w.slowMu.Unlock()
-			errs <- err
-		}}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case w.in <- op:
+	errs := make([]error, len(s.workers))
+	if err := s.onWorkers(ctx, func(i int, w *worker) {
+		// Rule mutation and revalidation race the upcall engine's
+		// traversals of this replica; slowMu excludes them. (Held
+		// uncontended in synchronous mode.)
+		w.slowMu.Lock()
+		defer w.slowMu.Unlock()
+		if errs[i] = fn(w.vs.Pipeline()); errs[i] == nil {
+			w.vs.Revalidate()
+		}
+	}); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	var first error
-	for range s.workers {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case err := <-errs:
-			if err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
+	return nil
 }
 
 // Stats aggregates all workers' counters. It runs on the workers' own
 // goroutines for a coherent snapshot.
 func (s *Service) Stats(ctx context.Context) (gigaflow.VSwitchStats, error) {
-	var mu sync.Mutex
+	per := make([]gigaflow.VSwitchStats, len(s.workers))
 	var out gigaflow.VSwitchStats
-	done := make(chan struct{}, len(s.workers))
-	for _, w := range s.workers {
-		w := w
-		op := packet{control: func() {
-			st := w.vs.Stats()
-			mu.Lock()
-			out.Packets += st.Packets
-			out.MicroflowHits += st.MicroflowHits
-			out.CacheHits += st.CacheHits
-			out.CacheMisses += st.CacheMisses
-			out.Slowpath += st.Slowpath
-			out.Installs += st.Installs
-			out.InstallErrs += st.InstallErrs
-			out.CtFastpath += st.CtFastpath
-			out.CtGuardFails += st.CtGuardFails
-			out.CtInvalidated += st.CtInvalidated
-			mu.Unlock()
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return out, ctx.Err()
-		case w.in <- op:
-		}
+	if err := s.onWorkers(ctx, func(i int, w *worker) { per[i] = w.vs.Stats() }); err != nil {
+		return out, err
 	}
-	for range s.workers {
-		select {
-		case <-ctx.Done():
-			return out, ctx.Err()
-		case <-done:
-		}
+	for _, st := range per {
+		out.Packets += st.Packets
+		out.MicroflowHits += st.MicroflowHits
+		out.CacheHits += st.CacheHits
+		out.CacheMisses += st.CacheMisses
+		out.Slowpath += st.Slowpath
+		out.Installs += st.Installs
+		out.InstallErrs += st.InstallErrs
+		out.CtFastpath += st.CtFastpath
+		out.CtGuardFails += st.CtGuardFails
+		out.CtInvalidated += st.CtInvalidated
 	}
 	return out, nil
 }
@@ -884,23 +836,12 @@ func (s *Service) Stats(ctx context.Context) (gigaflow.VSwitchStats, error) {
 // CacheEntries sums cache entries across worker shards, snapshotted on
 // the workers' own goroutines.
 func (s *Service) CacheEntries() int {
-	var mu sync.Mutex
+	per := make([]int, len(s.workers))
+	s.onWorkers(context.Background(), func(i int, w *worker) { per[i] = w.vs.CacheEntries() })
 	total := 0
-	done := make(chan struct{}, len(s.workers))
-	for _, w := range s.workers {
-		w := w
-		w.in <- packet{control: func() {
-			mu.Lock()
-			total += w.vs.CacheEntries()
-			mu.Unlock()
-			done <- struct{}{}
-		}}
+	for _, n := range per {
+		total += n
 	}
-	for range s.workers {
-		<-done
-	}
-	mu.Lock()
-	defer mu.Unlock()
 	return total
 }
 
@@ -1047,36 +988,21 @@ type ShardStat struct {
 // shard). The slice is indexed by worker.
 func (s *Service) ShardStats(ctx context.Context) ([]ShardStat, error) {
 	out := make([]ShardStat, len(s.workers))
-	done := make(chan struct{}, len(s.workers))
-	for i, w := range s.workers {
-		i, w := i, w
-		op := packet{control: func() {
-			st := ShardStat{Worker: i, Packets: w.vs.Stats().Packets, CacheEntries: w.vs.CacheEntries()}
-			if mf := w.vs.Microflow(); mf != nil {
-				st.Microflow = mf.Len()
-			}
-			if ct := w.vs.Conntrack(); ct != nil {
-				cs := ct.Stats()
-				st.CtLive = ct.Len()
-				st.CtCreated = cs.Created
-				st.CtExpired = cs.Expired
-				st.CtEvicted = cs.EvictLRU
-			}
-			out[i] = st
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case w.in <- op:
+	if err := s.onWorkers(ctx, func(i int, w *worker) {
+		st := ShardStat{Worker: i, Packets: w.vs.Stats().Packets, CacheEntries: w.vs.CacheEntries()}
+		if mf := w.vs.Microflow(); mf != nil {
+			st.Microflow = mf.Len()
 		}
-	}
-	for range s.workers {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-done:
+		if ct := w.vs.Conntrack(); ct != nil {
+			cs := ct.Stats()
+			st.CtLive = ct.Len()
+			st.CtCreated = cs.Created
+			st.CtExpired = cs.Expired
+			st.CtEvicted = cs.EvictLRU
 		}
+		out[i] = st
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

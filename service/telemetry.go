@@ -34,28 +34,11 @@ func (s *Service) Tracer() *telemetry.Tracer { return s.tracer }
 // HTTP handlers call this before rendering; expose it for embedders that
 // scrape the registry directly.
 func (s *Service) Collect(ctx context.Context) error {
-	done := make(chan struct{}, len(s.workers))
-	submitted := 0
-	for _, w := range s.workers {
-		w := w
-		op := packet{control: func() {
-			w.vs.CollectMetrics(s.reg, w.label)
-			w.collectUpcallMetrics(s.reg)
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case w.in <- op:
-			submitted++
-		}
-	}
-	for i := 0; i < submitted; i++ {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-done:
-		}
+	if err := s.onWorkers(ctx, func(_ int, w *worker) {
+		w.vs.CollectMetrics(s.reg, w.label)
+		w.collectUpcallMetrics(s.reg)
+	}); err != nil {
+		return err
 	}
 	s.collectServiceMetrics()
 	return nil
@@ -115,33 +98,16 @@ type workerTelemetry struct {
 // own goroutines.
 func (s *Service) cacheTelemetry(ctx context.Context) ([]workerTelemetry, error) {
 	out := make([]workerTelemetry, len(s.workers))
-	done := make(chan struct{}, len(s.workers))
-	submitted := 0
-	for i, w := range s.workers {
-		i, w := i, w
-		op := packet{control: func() {
-			out[i] = workerTelemetry{
-				Worker:           w.label,
-				QueueDepth:       len(w.in),
-				QueueCap:         cap(w.in),
-				Drops:            w.drops.Load(),
-				VSwitchTelemetry: w.vs.Telemetry(),
-			}
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case w.in <- op:
-			submitted++
+	if err := s.onWorkers(ctx, func(i int, w *worker) {
+		out[i] = workerTelemetry{
+			Worker:           w.label,
+			QueueDepth:       len(w.in),
+			QueueCap:         cap(w.in),
+			Drops:            w.drops.Load(),
+			VSwitchTelemetry: w.vs.Telemetry(),
 		}
-	}
-	for i := 0; i < submitted; i++ {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-done:
-		}
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -171,29 +137,12 @@ func (s *Service) latencyTelemetry(ctx context.Context) (latencyDoc, error) {
 	}
 	doc.Enabled = true
 	hists := make([][telemetry.NumTiers]telemetry.LatencyHistogram, len(s.workers))
-	done := make(chan struct{}, len(s.workers))
-	submitted := 0
-	for i, w := range s.workers {
-		i, w := i, w
-		op := packet{control: func() {
-			for t := telemetry.Tier(0); t < telemetry.NumTiers; t++ {
-				hists[i][t] = *w.rec.Histogram(t)
-			}
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return doc, ctx.Err()
-		case w.in <- op:
-			submitted++
+	if err := s.onWorkers(ctx, func(i int, w *worker) {
+		for t := telemetry.Tier(0); t < telemetry.NumTiers; t++ {
+			hists[i][t] = *w.rec.Histogram(t)
 		}
-	}
-	for i := 0; i < submitted; i++ {
-		select {
-		case <-ctx.Done():
-			return doc, ctx.Err()
-		case <-done:
-		}
+	}); err != nil {
+		return doc, err
 	}
 	var total [telemetry.NumTiers]telemetry.LatencyHistogram
 	for i, w := range s.workers {
@@ -231,36 +180,19 @@ func (s *Service) flightTelemetry(ctx context.Context, n int) ([]workerFlight, e
 		return nil, nil
 	}
 	out := make([]workerFlight, len(s.workers))
-	done := make(chan struct{}, len(s.workers))
-	submitted := 0
-	for i, w := range s.workers {
-		i, w := i, w
-		op := packet{control: func() {
-			out[i] = workerFlight{
-				Worker:   w.label,
-				Seq:      w.rec.Seq(),
-				RingSize: w.rec.RingSize(),
-				Batches:  w.rec.Batches(),
-				SpikeNs:  w.rec.SpikeThreshold(),
-				Spikes:   w.rec.Spikes(),
-				Records:  w.rec.Recent(n),
-				Captures: w.rec.Captures(),
-			}
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case w.in <- op:
-			submitted++
+	if err := s.onWorkers(ctx, func(i int, w *worker) {
+		out[i] = workerFlight{
+			Worker:   w.label,
+			Seq:      w.rec.Seq(),
+			RingSize: w.rec.RingSize(),
+			Batches:  w.rec.Batches(),
+			SpikeNs:  w.rec.SpikeThreshold(),
+			Spikes:   w.rec.Spikes(),
+			Records:  w.rec.Recent(n),
+			Captures: w.rec.Captures(),
 		}
-	}
-	for i := 0; i < submitted; i++ {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-done:
-		}
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -4,9 +4,9 @@
 //
 // With Config.Upcall.Workers set, a worker no longer runs the pipeline
 // traversal for a main-cache miss inline. The packet is parked: its
-// delivery context (job slot or response channel) is appended to the
-// flow's pending-table entry, and — for the first packet of the flow
-// only — the entry is enqueued on the shared upcall queue. Engine
+// delivery context (its job and slot) is appended to the flow's
+// pending-table entry, and — for the first packet of the flow only — the
+// entry is enqueued on the shared upcall queue. Engine
 // goroutines drain the queue in batches, run each flow's traversal
 // against the owning worker's pipeline replica (serialized with that
 // worker's own inline slow path through worker.slowMu), and post the
@@ -64,15 +64,12 @@ func (p OverflowPolicy) String() string {
 	return "inline"
 }
 
-// parked is one parked packet's delivery context: where its Result goes
-// once the flow's traversal completes. Exactly one of job/resp styles is
-// used — batch packets carry their job and slot, single-packet
-// submissions their response channel (which may be nil for
-// fire-and-forget).
+// parked is one parked packet's delivery context: the job it came in and
+// its slot there, where its Result goes once the flow's traversal
+// completes. Every submission is a job, single packets included.
 type parked struct {
-	job  *batchJob
-	idx  int // slot in job.res; meaningless when job is nil
-	resp chan<- Result
+	job *batchJob
+	idx int // slot in job.res
 }
 
 // parkOne parks a missed packet behind its flow's pending entry,
@@ -139,8 +136,11 @@ func (w *worker) complete(m *upcall.Miss[parked], now int64) {
 	// completion may have installed a wildcard entry covering it —
 	// inline, this packet would have hit that entry, so only a
 	// still-missing flow consumes its traversal.
-	res, still, err := w.vs.ProcessPark(m.Key, now)
-	if still {
+	keys := [1]gigaflow.Key{m.Key}
+	out, errs, parks := w.scratch(1)
+	w.vs.ProcessBatchPark(keys[:], nil, out, errs, parks, now)
+	res, err := out[0], errs[0]
+	if parks[0] {
 		res, err = w.vs.CompleteMiss(m.Key, m.Traversal, now, m.TraverseNs, now-m.EnqueuedNs)
 	} else {
 		w.stale++
@@ -153,47 +153,32 @@ func (w *worker) complete(m *upcall.Miss[parked], now int64) {
 }
 
 // deliver routes a completed packet's result back to its submitter: into
-// its job slot (signalling the job's completion channel when it was the
-// last outstanding packet) or down its response channel.
+// its job slot and the job's response stream, signalling the job's
+// completion channel when it was the last outstanding packet.
 func (w *worker) deliver(p parked, r Result) {
-	if p.job != nil {
-		j := p.job
-		j.res[p.idx] = r
-		if j.resp != nil {
-			j.resp <- r
-		}
-		j.pending--
-		if j.pending == 0 && j.done != nil {
-			j.done <- j
-		}
-	} else if p.resp != nil {
-		p.resp <- r
+	j := p.job
+	j.res[p.idx] = r
+	if j.resp != nil {
+		j.resp <- r
 	}
+	j.settle()
 }
 
 // sweepParked fails every packet still parked at shutdown with
 // ErrClosed, mirroring drain's treatment of queued jobs, so blocking
 // submitters waiting on parked packets always unblock before the
-// service's term channel closes. Single-packet response sends are
-// nonblocking, like drain's — a fire-and-forget submitter may be gone.
+// service's term channel closes. Response-stream sends are nonblocking,
+// like drain's — a fire-and-forget submitter may be gone.
 func (w *worker) sweepParked() {
 	if w.pending == nil {
 		return
 	}
 	w.pending.Drain(func(m *upcall.Miss[parked]) {
 		for _, p := range m.Payloads {
-			if p.job != nil {
-				p.job.res[p.idx] = Result{Err: ErrClosed}
-				p.job.pending--
-				if p.job.pending == 0 && p.job.done != nil {
-					p.job.done <- p.job
-				}
-			} else if p.resp != nil {
-				select {
-				case p.resp <- Result{Err: ErrClosed}:
-				default:
-				}
-			}
+			j := p.job
+			j.res[p.idx] = Result{Err: ErrClosed}
+			j.offer(j.res[p.idx])
+			j.settle()
 		}
 	})
 }
@@ -229,7 +214,7 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked
 			}
 		}
 		select {
-		case s.workers[m.Shard].in <- packet{comp: group}:
+		case s.workers[m.Shard].in <- message{comp: group}:
 		case <-ctx.Done():
 			return
 		}
@@ -277,36 +262,21 @@ func (s *Service) UpcallStats(ctx context.Context) (UpcallStats, error) {
 	}
 	out.Enabled = true
 	var mu sync.Mutex
-	done := make(chan struct{}, len(s.workers))
-	for _, w := range s.workers {
-		w := w
-		op := packet{control: func() {
-			st := w.pending.Stats()
-			mu.Lock()
-			out.PendingFlows += w.pending.Len()
-			out.ParkedPackets += w.pending.Parked()
-			out.Flows += st.Upcalls
-			out.Deduped += st.Deduped
-			out.Released += st.Released
-			out.OverflowInline += w.ovInline
-			out.OverflowDrops += w.ovDrop
-			out.Stale += w.stale
-			out.Completed += w.completed
-			mu.Unlock()
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return out, ctx.Err()
-		case w.in <- op:
-		}
-	}
-	for range s.workers {
-		select {
-		case <-ctx.Done():
-			return out, ctx.Err()
-		case <-done:
-		}
+	if err := s.onWorkers(ctx, func(_ int, w *worker) {
+		st := w.pending.Stats()
+		mu.Lock()
+		defer mu.Unlock()
+		out.PendingFlows += w.pending.Len()
+		out.ParkedPackets += w.pending.Parked()
+		out.Flows += st.Upcalls
+		out.Deduped += st.Deduped
+		out.Released += st.Released
+		out.OverflowInline += w.ovInline
+		out.OverflowDrops += w.ovDrop
+		out.Stale += w.stale
+		out.Completed += w.completed
+	}); err != nil {
+		return out, err
 	}
 	out.QueueDepth = s.upq.Depth()
 	out.QueueCap = s.upq.Cap()

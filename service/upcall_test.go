@@ -365,6 +365,70 @@ func TestUpcallShutdownParked(t *testing.T) {
 	}
 }
 
+// TestUpcallShutdownParkedBatch is TestUpcallShutdownParked for a
+// nonblocking batch: its parked packets must also fail with ErrClosed
+// on the WithResponse channel at shutdown, exactly as a single
+// nonblocking Submit's do. Both are one-request-or-more jobs on the same
+// worker path, so neither may be left silent.
+func TestUpcallShutdownParkedBatch(t *testing.T) {
+	cfg := upcallConfig(BackendGigaflow, 1, 1)
+	cfg.Upcall.Batch = 1
+	s, err := New(buildPipeline(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	w := s.workers[0]
+
+	w.slowMu.Lock() // wedge the engine mid-traversal
+	resp := make(chan Result, 2)
+	b := NewBatch(2)
+	b.Add(key(1, 80))
+	b.Add(key(2, 80))
+	if err := s.SubmitBatch(ctx, b, Nonblocking(), WithResponse(resp)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		us, err := s.UpcallStats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if us.ParkedPackets == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("packets never parked: %+v", us)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-resp:
+			if !errors.Is(r.Err, ErrClosed) {
+				t.Fatalf("parked batch packet got %+v, want ErrClosed", r)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("parked batch packet %d never failed at shutdown", i)
+		}
+	}
+
+	w.slowMu.Unlock() // release the engine so Close can join it
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung waiting for the engine")
+	}
+}
+
 // holPipeline builds a pipeline whose flows never share installed cache
 // entries: one exact /32 rule per host, so every new host is a genuine
 // slow-path miss. This is the workload that exposes head-of-line

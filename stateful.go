@@ -50,7 +50,7 @@ func (v *VSwitch) Conntrack() *conntrack.Table { return v.ct }
 // state-change; the caller drops the entry and takes the full path.
 //
 //gf:hotpath
-func (v *VSwitch) ctServe(e *microflow.Entry, k Key, tcpFlags uint8, now int64) bool {
+func (v *VSwitch) ctServe(e *microflow.Entry, k *Key, tcpFlags uint8, now int64) bool {
 	c := e.Ct
 	if c == nil {
 		return true

@@ -34,6 +34,13 @@ type VSwitch struct {
 	rec       *telemetry.LatencyRecorder // optional latency attribution + flight ring
 	slowMu    *sync.Mutex                // optional slow-path traversal lock (async upcall mode)
 	stats     VSwitchStats
+
+	// Per-tier lookup counter accumulators the kernel threads through a
+	// call and flushes at its end. They live here, built once, so a
+	// one-packet call pays no per-call setup for them.
+	ufb microflow.BatchLookup
+	gfb gfcache.BatchLookup
+	mfb megaflow.BatchLookup
 }
 
 // VSwitchStats counts end-to-end events.
@@ -145,6 +152,7 @@ func NewVSwitch(p *Pipeline, cfg CacheConfig, opts ...VSwitchOption) *VSwitch {
 	for _, o := range opts {
 		o(v)
 	}
+	v.ufb, v.gfb, v.mfb = v.uf.BatchLookup(), v.gf.BatchLookup(), v.mf.BatchLookup() // nil-safe
 	return v
 }
 
@@ -183,10 +191,8 @@ type ProcessResult struct {
 
 // Process handles one packet at virtual time now (nanoseconds): Microflow
 // exact-match (if enabled), main cache lookup, slowpath on miss, rule
-// installation. This function is the packet fast path — the body below is
-// the entire per-packet cost for cache hits, and gflint's hotalloc check
-// holds it to zero heap allocations. Everything cold lives in unannotated
-// callees: sampled packets divert to processTraced, misses to processMiss.
+// installation. It is a one-packet call of the datapath kernel (process),
+// whose loop body is the entire per-packet cost of a cache hit.
 //
 //gf:hotpath
 func (v *VSwitch) Process(k Key, now int64) (ProcessResult, error) {
@@ -205,67 +211,13 @@ func (v *VSwitch) Process(k Key, now int64) (ProcessResult, error) {
 //
 //gf:hotpath
 func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, error) {
-	v.stats.Packets++
-	if v.rec != nil {
-		v.rec.BeginBatch(now)
-	}
-	if v.tracer != nil {
-		if tb := v.tracer.Start(); tb != nil {
-			return v.processTraced(k, tcpFlags, now, tb)
-		}
-	}
-	if v.uf != nil {
-		if e, ok := v.uf.Lookup(k, now); ok {
-			if v.ct == nil || v.ctServe(e, k, tcpFlags, now) {
-				v.stats.MicroflowHits++
-				if v.rec != nil {
-					v.rec.Hit(telemetry.TierMicroflow, v.uf.LastHash())
-					v.rec.EndBatch()
-				}
-				return ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}, nil
-			}
-			// Stale or transition-capable: drop the memo, take the full path.
-			v.uf.Remove(k)
-			v.stats.CtGuardFails++
-		}
-	}
-	kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
-	tier := telemetry.TierSlowpath
-	if v.ct != nil {
-		var bits uint64
-		bits, conn, dir = v.ct.Track(k, tcpFlags, now)
-		kt = k.With(flow.FieldCtState, bits)
-	}
-	if v.gf != nil {
-		res := v.gf.Lookup(kt, now)
-		if res.Hit {
-			if v.ct == nil || v.ctPathValid(res.Path) {
-				v.stats.CacheHits++
-				v.memoizeCt(k, res.Final, res.Verdict, now, conn, dir)
-				if v.rec != nil {
-					v.rec.Hit(telemetry.TierGigaflow, kt.FlowHash())
-					v.rec.EndBatch()
-				}
-				return ProcessResult{Verdict: res.Verdict, Final: res.Final, CacheHit: true}, nil
-			}
-			tier = telemetry.TierConntrack // stale entries revoked: replay
-		}
-	} else if e, ok := v.mf.Lookup(kt, now); ok {
-		if v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValid(e.CtConn, e.CtEpoch) {
-			v.stats.CacheHits++
-			final, verdict := e.Apply(kt)
-			v.memoizeCt(k, final, verdict, now, conn, dir)
-			if v.rec != nil {
-				v.rec.Hit(telemetry.TierMegaflow, kt.FlowHash())
-				v.rec.EndBatch()
-			}
-			return ProcessResult{Verdict: verdict, Final: final, CacheHit: true}, nil
-		}
-		v.mf.Remove(e)
-		v.stats.CtInvalidated++
-		tier = telemetry.TierConntrack
-	}
-	return v.processMissCt(k, kt, conn, dir, tier, now, nil)
+	var keys [1]Key
+	keys[0] = k
+	flags := [1]uint8{tcpFlags}
+	var out [1]ProcessResult
+	var errs [1]error
+	v.process(keys[:], flags[:], out[:], errs[:], nil, now)
+	return out[0], errs[0]
 }
 
 // ProcessBatch handles len(keys) packets at virtual time now, writing
@@ -274,29 +226,44 @@ func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, 
 // Process(keys[i], now) in order — packets are processed strictly
 // in sequence through the full hierarchy, so a miss's installed rules and
 // Microflow memoization are visible to later packets in the same batch and
-// the resulting VSwitchStats match a sequential replay exactly.
-//
-// What batching buys is amortized bookkeeping: the VSwitch counters and
-// each cache tier's counters are accumulated in locals and flushed once
-// per batch instead of once per packet. Like Process, the loop body is
-// allocation-free; sampled packets divert to processTraced and misses to
-// processMiss, which update their counters directly (flushing local
-// deltas on top keeps the totals exact — the two never count the same
-// packet).
+// the resulting VSwitchStats match a sequential replay exactly. What
+// batching buys is amortized bookkeeping: counters are flushed once per
+// batch instead of once per packet.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessBatch(keys []Key, out []ProcessResult, errs []error, now int64) {
-	v.ProcessBatchMeta(keys, nil, out, errs, now)
+	v.process(keys, nil, out, errs, nil, now)
 }
 
 // ProcessBatchMeta is ProcessBatch with per-packet TCP flag bytes for the
 // conntrack state machine; flags may be nil (all packets read as
 // flagless) and is otherwise indexed in step with keys. See ProcessMeta
-// for the conntrack semantics; with tracking disabled the body reduces
-// exactly to the stateless batch path.
+// for the conntrack semantics.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResult, errs []error, now int64) {
+	v.process(keys, flags, out, errs, nil, now)
+}
+
+// process is the datapath kernel: the one copy of the Figure 5 cascade
+// that every entry point runs. Per packet: Microflow exact match (served
+// under the ctServe guard), conntrack, main-cache lookup (validated
+// against connection epochs), and on a miss either the inline slow path
+// or a parked slot. Packets run strictly in sequence, so a miss's
+// installs and memoization are visible to later packets of the same call.
+//
+// flags holds per-packet TCP flag bytes (nil reads as flagless). parked
+// is the miss policy: nil runs misses inline; otherwise a miss sets
+// parked[i], zeroes out[i], and counts nothing (see park.go). A packet
+// the tracer samples takes exactly the path an unsampled one would; its
+// stages are recorded behind tb != nil through //gf:hotpath-safe hooks.
+//
+// VSwitch counters and each cache tier's lookup counters accumulate in
+// locals and flush once per call; the cold callees (miss, the ct guards)
+// update v.stats directly, and the two never count the same event.
+//
+//gf:hotpath
+func (v *VSwitch) process(keys []Key, flags []uint8, out []ProcessResult, errs []error, parked []bool, now int64) {
 	if len(keys) == 0 {
 		return
 	}
@@ -305,18 +272,11 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 	if flags != nil {
 		_ = flags[len(keys)-1]
 	}
-	var packets, ufHits, mainHits uint64
-	var ufb microflow.BatchLookup
-	var gfb gfcache.BatchLookup
-	var mfb megaflow.BatchLookup
-	if v.uf != nil {
-		ufb = v.uf.BatchLookup()
+	if parked != nil {
+		_ = parked[len(keys)-1]
 	}
-	if v.gf != nil {
-		gfb = v.gf.BatchLookup()
-	} else {
-		mfb = v.mf.BatchLookup()
-	}
+	var parks, ufHits, mainHits uint64
+	ufb, gfb, mfb := &v.ufb, &v.gfb, &v.mfb
 	if v.rec != nil {
 		v.rec.BeginBatch(now)
 	}
@@ -326,70 +286,126 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 		if flags != nil {
 			fl = flags[i]
 		}
-		packets++
 		errs[i] = nil
+		if parked != nil {
+			parked[i] = false
+		}
+		var tb *telemetry.TraceBuilder
 		if v.tracer != nil {
-			if tb := v.tracer.Start(); tb != nil {
-				out[i], errs[i] = v.processTraced(k, fl, now, tb)
-				continue
+			if tb = v.tracer.Start(); tb != nil {
+				v.traceOpen(tb, k)
 			}
 		}
+
 		if v.uf != nil {
-			if e, ok := ufb.Lookup(k, now); ok {
-				if v.ct == nil || v.ctServe(e, k, fl, now) {
-					ufHits++
-					if v.rec != nil {
-						v.rec.Hit(telemetry.TierMicroflow, v.uf.LastHash())
-					}
-					out[i] = ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}
-					continue
+			if tb != nil {
+				tb.Begin("microflow")
+			}
+			e, ok := ufb.Lookup(k, now)
+			served := ok && (v.ct == nil || v.ctServe(e, &k, fl, now))
+			if tb != nil {
+				tb.End(served)
+			}
+			if served {
+				ufHits++
+				out[i] = ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}
+				if tb != nil {
+					v.traceHit(tb, telemetry.TierMicroflow, v.uf.LastHash(), &out[i])
+				} else if v.rec != nil {
+					v.rec.Hit(telemetry.TierMicroflow, v.uf.LastHash())
 				}
+				continue
+			}
+			if ok {
+				// Stale or transition-capable: drop the memo, take the full path.
 				v.uf.Remove(k)
 				v.stats.CtGuardFails++
 			}
 		}
+
 		kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
 		tier := telemetry.TierSlowpath
 		if v.ct != nil {
+			if tb != nil {
+				tb.Begin("conntrack")
+			}
 			var bits uint64
 			bits, conn, dir = v.ct.Track(k, fl, now)
 			kt = k.With(flow.FieldCtState, bits)
-		}
-		if v.gf != nil {
-			res := gfb.Lookup(kt, now)
-			if res.Hit {
-				if v.ct == nil || v.ctPathValid(res.Path) {
-					mainHits++
-					v.memoizeCt(k, res.Final, res.Verdict, now, conn, dir)
-					if v.rec != nil {
-						v.rec.Hit(telemetry.TierGigaflow, kt.FlowHash())
-					}
-					out[i] = ProcessResult{Verdict: res.Verdict, Final: res.Final, CacheHit: true}
-					continue
-				}
-				tier = telemetry.TierConntrack
+			if tb != nil {
+				tb.End(conn != nil)
 			}
-		} else if e, ok := mfb.Lookup(kt, now); ok {
-			if v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValid(e.CtConn, e.CtEpoch) {
+		}
+
+		if v.gf != nil {
+			if tb != nil {
+				tb.Begin("gigaflow")
+			}
+			res := gfb.Lookup(kt, now)
+			valid := res.Hit && (v.ct == nil || v.ctPathValid(res.Path))
+			if tb != nil {
+				tb.End(valid)
+				for _, e := range res.Path {
+					tb.Note("ltm-table", e.TableIndex(), e.Tag, e.Priority)
+				}
+			}
+			if valid {
+				mainHits++
+				v.memoizeCt(k, res.Final, res.Verdict, now, conn, dir)
+				out[i] = ProcessResult{Verdict: res.Verdict, Final: res.Final, CacheHit: true}
+				if tb != nil {
+					v.traceHit(tb, telemetry.TierGigaflow, kt.FlowHash(), &out[i])
+				} else if v.rec != nil {
+					v.rec.Hit(telemetry.TierGigaflow, kt.FlowHash())
+				}
+				continue
+			}
+			if res.Hit {
+				tier = telemetry.TierConntrack // stale entries revoked: replay
+			}
+		} else {
+			if tb != nil {
+				tb.Begin("megaflow")
+			}
+			e, ok := mfb.Lookup(kt, now)
+			valid := ok && (v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValid(e.CtConn, e.CtEpoch))
+			if tb != nil {
+				tb.End(valid)
+			}
+			if valid {
 				mainHits++
 				final, verdict := e.Apply(kt)
 				v.memoizeCt(k, final, verdict, now, conn, dir)
-				if v.rec != nil {
+				out[i] = ProcessResult{Verdict: verdict, Final: final, CacheHit: true}
+				if tb != nil {
+					v.traceHit(tb, telemetry.TierMegaflow, kt.FlowHash(), &out[i])
+				} else if v.rec != nil {
 					v.rec.Hit(telemetry.TierMegaflow, kt.FlowHash())
 				}
-				out[i] = ProcessResult{Verdict: verdict, Final: final, CacheHit: true}
 				continue
 			}
-			v.mf.Remove(e)
-			v.stats.CtInvalidated++
-			tier = telemetry.TierConntrack
+			if ok {
+				v.mf.Remove(e)
+				v.stats.CtInvalidated++
+				tier = telemetry.TierConntrack
+			}
 		}
-		out[i], errs[i] = v.processMissCt(k, kt, conn, dir, tier, now, nil)
+
+		if parked != nil {
+			parks++
+			parked[i] = true
+			out[i] = ProcessResult{}
+			if tb != nil {
+				v.tracePark(tb, kt.FlowHash())
+			}
+			continue
+		}
+		out[i], errs[i] = v.miss(k, kt, conn, dir, tier, now, tb)
 	}
 	if v.rec != nil {
 		v.rec.EndBatch()
 	}
-	v.stats.Packets += packets
+	v.stats.Packets += uint64(len(keys)) - parks
 	v.stats.MicroflowHits += ufHits
 	v.stats.CacheHits += mainHits
 	ufb.Flush()
@@ -397,121 +413,26 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 	mfb.Flush()
 }
 
-// processTraced is Process for the 1-in-N sampled packets: the same
-// lookup chain with every stage timed and recorded into tb. Sampled
-// packets are allowed to allocate — that is the sampling contract. Their
-// flight records are stamped exactly and carry FlightTraced, but they
-// are excluded from the tier latency histograms: a traced packet's
-// latency includes the tracing work itself, and folding that in would
-// report the observer as the tail.
-//
-//gf:hotpath-safe sampled 1-in-N diversion; tracing allocates and reads the clock by contract
-func (v *VSwitch) processTraced(k Key, tcpFlags uint8, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
-	if v.rec != nil {
-		v.rec.ColdBegin()
-	}
-	tb.SetKey(k.String())
-	if v.uf != nil {
-		tb.Begin("microflow")
-		e, ok := v.uf.Lookup(k, now)
-		served := ok && (v.ct == nil || v.ctServe(e, k, tcpFlags, now))
-		tb.End(served)
-		if served {
-			v.stats.MicroflowHits++
-			tb.Finish(e.Verdict.String(), true, true, nil)
-			if v.rec != nil {
-				v.rec.Cold(telemetry.TierMicroflow, k.FlowHash(), telemetry.FlightTraced)
-			}
-			return ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}, nil
-		}
-		if ok {
-			v.uf.Remove(k)
-			v.stats.CtGuardFails++
-		}
-	}
-	kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
-	tier := telemetry.TierSlowpath
-	if v.ct != nil {
-		tb.Begin("conntrack")
-		var bits uint64
-		bits, conn, dir = v.ct.Track(k, tcpFlags, now)
-		kt = k.With(flow.FieldCtState, bits)
-		tb.End(conn != nil)
-	}
-	if v.gf != nil {
-		tb.Begin("gigaflow")
-		res := v.gf.Lookup(kt, now)
-		valid := res.Hit && (v.ct == nil || v.ctPathValid(res.Path))
-		tb.End(valid)
-		for _, e := range res.Path {
-			tb.Note("ltm-table", e.TableIndex(), e.Tag, e.Priority)
-		}
-		if valid {
-			v.stats.CacheHits++
-			v.memoizeCt(k, res.Final, res.Verdict, now, conn, dir)
-			tb.Finish(res.Verdict.String(), true, false, nil)
-			if v.rec != nil {
-				v.rec.Cold(telemetry.TierGigaflow, kt.FlowHash(), telemetry.FlightTraced)
-			}
-			return ProcessResult{Verdict: res.Verdict, Final: res.Final, CacheHit: true}, nil
-		}
-		if res.Hit {
-			tier = telemetry.TierConntrack
-		}
-	} else {
-		tb.Begin("megaflow")
-		e, ok := v.mf.Lookup(kt, now)
-		valid := ok && (v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValid(e.CtConn, e.CtEpoch))
-		tb.End(valid)
-		if valid {
-			v.stats.CacheHits++
-			final, verdict := e.Apply(kt)
-			v.memoizeCt(k, final, verdict, now, conn, dir)
-			tb.Finish(verdict.String(), true, false, nil)
-			if v.rec != nil {
-				v.rec.Cold(telemetry.TierMegaflow, kt.FlowHash(), telemetry.FlightTraced)
-			}
-			return ProcessResult{Verdict: verdict, Final: final, CacheHit: true}, nil
-		}
-		if ok {
-			v.mf.Remove(e)
-			v.stats.CtInvalidated++
-			tier = telemetry.TierConntrack
-		}
-	}
-	return v.processMissCt(k, kt, conn, dir, tier, now, tb)
-}
-
-// processMiss punts a main-cache miss to the slowpath: full pipeline
-// traversal, partitioning, and rule installation. tb is nil unless the
-// packet is being traced.
+// miss punts a main-cache miss to the slowpath inline: full pipeline
+// traversal, then partition and install. kt is the lookup key with
+// ct_state folded in (equal to k when tracking is off), conn/dir the
+// packet's tracked connection, tier the latency tier the miss is
+// attributed to (TierConntrack when a stale connection-dependent entry
+// forced the replay), and tb the packet's trace (nil unless sampled).
 //
 //gf:hotpath-safe slowpath traversal and rule install; misses are µs-scale and allocate by design
-func (v *VSwitch) processMiss(k Key, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
-	return v.processMissCt(k, k, nil, conntrack.DirForward, telemetry.TierSlowpath, now, tb)
-}
-
-// processMissCt is processMiss with the conntrack context threaded
-// through: kt is the lookup key with ct_state folded in (equal to k when
-// tracking is off), conn/dir the packet's tracked connection, and tier
-// the latency tier the miss is attributed to (TierConntrack when a stale
-// connection-dependent entry forced the replay).
-//
-//gf:hotpath-safe slowpath traversal and rule install; misses are µs-scale and allocate by design
-func (v *VSwitch) processMissCt(k, kt Key, conn *conntrack.Conn, dir conntrack.Dir,
+func (v *VSwitch) miss(k, kt Key, conn *conntrack.Conn, dir conntrack.Dir,
 	tier telemetry.Tier, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
 	if v.rec != nil {
-		v.rec.ColdBegin() // no-op when arriving via processTraced
+		v.rec.ColdBegin() // no-op for a sampled packet, already cold
 	}
-	flightFlags := telemetry.FlightMiss
+	flight := telemetry.FlightMiss
 	if tb != nil {
-		flightFlags |= telemetry.FlightTraced
+		flight |= telemetry.FlightTraced
+		tb.Begin("slowpath")
 	}
 	v.stats.CacheMisses++
 	v.stats.Slowpath++
-	if tb != nil {
-		tb.Begin("slowpath")
-	}
 	if v.slowMu != nil {
 		v.slowMu.Lock() // exclude concurrent upcall-engine traversals
 	}
@@ -535,66 +456,88 @@ func (v *VSwitch) processMissCt(k, kt Key, conn *conntrack.Conn, dir conntrack.D
 			tb.Finish("", false, false, err)
 		}
 		if v.rec != nil {
-			v.rec.Cold(tier, kt.FlowHash(), flightFlags)
+			v.rec.Cold(tier, kt.FlowHash(), flight)
 		}
 		return ProcessResult{}, err
 	}
 	if tb != nil {
 		tb.Begin("partition+install")
 	}
-	installed := true
-	if v.gf != nil {
-		var ev0 uint64
-		if v.rec != nil {
-			ev0 = v.gf.Stats().EvictLRU
-		}
-		if _, err := v.gf.Insert(tr, now); err != nil {
-			v.stats.InstallErrs++
-			installed = false
-			flightFlags |= telemetry.FlightInstallErr
-		} else {
-			v.stats.Installs++
-			flightFlags |= telemetry.FlightInstall
-		}
-		if v.rec != nil && v.gf.Stats().EvictLRU > ev0 {
-			flightFlags |= telemetry.FlightEvict
-		}
-	} else {
-		var ev0 uint64
-		if v.rec != nil {
-			ev0 = v.mf.Stats().EvictLRU
-		}
-		if e := v.mf.Insert(tr, now); e == nil {
-			v.stats.InstallErrs++
-			installed = false
-			flightFlags |= telemetry.FlightInstallErr
-		} else {
-			v.stats.Installs++
-			flightFlags |= telemetry.FlightInstall
-		}
-		if v.rec != nil && v.mf.Stats().EvictLRU > ev0 {
-			flightFlags |= telemetry.FlightEvict
-		}
-	}
+	flight |= v.install(k, tr, now, conn, dir)
 	if tb != nil {
-		tb.End(installed)
-	}
-	v.memoizeCt(k, tr.FinalKey(), tr.Verdict, now, conn, dir)
-	if tb != nil {
+		tb.End(flight&telemetry.FlightInstall != 0)
 		tb.Finish(tr.Verdict.String(), false, false, nil)
 	}
 	if v.rec != nil {
-		v.rec.Cold(tier, kt.FlowHash(), flightFlags)
+		v.rec.Cold(tier, kt.FlowHash(), flight)
 	}
 	return ProcessResult{Verdict: tr.Verdict, Final: tr.FinalKey()}, nil
 }
 
-// memoize records a processed flow in the Microflow tier, when enabled.
+// install compiles a successful traversal of k into the main cache,
+// counts the install (or its rejection), and memoizes the flow: the half
+// of a miss the inline slow path and CompleteMiss share. It returns the
+// flight flags describing the outcome.
+func (v *VSwitch) install(k Key, tr *Traversal, now int64, conn *conntrack.Conn, dir conntrack.Dir) uint8 {
+	var ok bool
+	var evicted uint64
+	if v.gf != nil {
+		ev0 := v.gf.Stats().EvictLRU
+		_, err := v.gf.Insert(tr, now)
+		ok, evicted = err == nil, v.gf.Stats().EvictLRU-ev0
+	} else {
+		ev0 := v.mf.Stats().EvictLRU
+		ok = v.mf.Insert(tr, now) != nil
+		evicted = v.mf.Stats().EvictLRU - ev0
+	}
+	flight := telemetry.FlightInstall
+	if ok {
+		v.stats.Installs++
+	} else {
+		v.stats.InstallErrs++
+		flight = telemetry.FlightInstallErr
+	}
+	if evicted > 0 {
+		flight |= telemetry.FlightEvict
+	}
+	v.memoizeCt(k, tr.FinalKey(), tr.Verdict, now, conn, dir)
+	return flight
+}
+
+// traceOpen starts a sampled packet's trace and switches its latency
+// record to an exact stamp: a traced packet's latency includes the
+// tracing work, so it is recorded FlightTraced and kept out of the tier
+// histograms.
 //
-//gf:hotpath-safe Microflow insert allocates only on first sight of a flow; steady-state hits overwrite in place
-func (v *VSwitch) memoize(k, final Key, verdict Verdict, now int64) {
-	if v.uf != nil {
-		v.uf.Insert(k, final, verdict, now)
+//gf:hotpath-safe sampled 1-in-N packets only; renders the key and reads the clock by contract
+func (v *VSwitch) traceOpen(tb *telemetry.TraceBuilder, k Key) {
+	if v.rec != nil {
+		v.rec.ColdBegin()
+	}
+	tb.SetKey(k.String())
+}
+
+// traceHit finishes a sampled packet's trace on a cache hit, with an
+// exactly-timed flight record in place of the run-estimated one.
+//
+//gf:hotpath-safe sampled 1-in-N packets only; renders the verdict and reads the clock by contract
+func (v *VSwitch) traceHit(tb *telemetry.TraceBuilder, tier telemetry.Tier, hash uint64, r *ProcessResult) {
+	tb.Finish(r.Verdict.String(), true, r.MicroflowHit, nil)
+	if v.rec != nil {
+		v.rec.Cold(tier, hash, telemetry.FlightTraced)
+	}
+}
+
+// tracePark finishes a sampled packet's trace on a parked miss; the
+// slow-path stages belong to the engine and the completion.
+//
+//gf:hotpath-safe sampled 1-in-N packets only; reads the clock by contract
+func (v *VSwitch) tracePark(tb *telemetry.TraceBuilder, hash uint64) {
+	tb.Begin("park")
+	tb.End(true)
+	tb.Finish("", false, false, nil)
+	if v.rec != nil {
+		v.rec.Cold(telemetry.TierSlowpath, hash, telemetry.FlightTraced|telemetry.FlightMiss)
 	}
 }
 
