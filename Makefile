@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint lint-json suppress-check fmt-check perfbench bench bench-gate bench-json fuzz fuzz-regress
+.PHONY: ci build test race vet lint lint-json suppress-check fmt-check perfbench bench bench-gate bench-json figures-diff fuzz fuzz-regress
 
 ## ci: the standard verification gate — vet, build, race-enabled tests,
 ## the project linter, a gofmt cleanliness check, the suppression audit,
@@ -123,6 +123,21 @@ bench-json:
 	$(GO) run ./cmd/gigabench -exp upcall -json BENCH_upcall.json
 	$(GO) run ./cmd/gigabench -exp dnslb -json BENCH_dnslb.json
 	$(GO) run ./cmd/gigabench -exp shards -json BENCH_shards.json
+
+## figures-diff: the paper-figure regression check every datapath change
+## runs (a few minutes, so not part of ci). Rebuilds gigabench, runs the
+## 17 simulator experiments at full scale, and diffs their output against
+## the checked-in bench_results_full.txt, ignoring the "[... completed in]"
+## timing lines. Any difference exits non-zero; an intended change to the
+## figures regenerates the file with the same gigabench command.
+FIGURES = tab1,fig3,fig4,fig8,fig9,fig10,fig11,fig12,fig13,fig14,fig15,tab2,fig16,fig17,fig18,sec636,fig19
+figures-diff:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/gigabench ./cmd/gigabench && \
+	$$tmp/gigabench -exp $(FIGURES) > $$tmp/out.txt && \
+	grep -v 'completed in' bench_results_full.txt > $$tmp/want.txt && \
+	grep -v 'completed in' $$tmp/out.txt > $$tmp/got.txt && \
+	diff -u $$tmp/want.txt $$tmp/got.txt && echo "figures-diff: output matches bench_results_full.txt"
 
 ## fuzz-regress: replay the checked-in seed corpora (testdata/fuzz)
 ## through the decoder and RSS-extractor fuzz targets in plain-test mode

@@ -1,4 +1,4 @@
-package gigaflow
+package gigaflow_test
 
 // Ablation benchmarks for the design choices DESIGN.md calls out. Each
 // toggles one mechanism and reports the effect as benchmark metrics:
@@ -7,6 +7,7 @@ package gigaflow
 import (
 	"testing"
 
+	"gigaflow"
 	"gigaflow/internal/flow"
 	gfcache "gigaflow/internal/gigaflow"
 	"gigaflow/internal/pipebench"
@@ -35,17 +36,14 @@ func ablationWorkload(b *testing.B, ctxs int) (*pipebench.Workload, []traffic.Pa
 func BenchmarkAblation_EvictionPolicy(b *testing.B) {
 	w, trace := ablationWorkload(b, 0)
 	run := func(noLRU bool) float64 {
-		c := gfcache.New(w.Pipeline, gfcache.Config{NumTables: 4, TableCapacity: 512, NoLRUEviction: noLRU})
+		v := gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{NumTables: 4, TableCapacity: 512, NoLRUEviction: noLRU})
 		for i := range trace {
-			if r := c.Lookup(trace[i].Key, trace[i].Time); !r.Hit {
-				tr, err := w.Pipeline.Process(trace[i].Key)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c.Insert(tr, trace[i].Time) // rejection is an acceptable outcome
+			// A rejected install is an acceptable outcome, not an error.
+			if _, err := v.Process(trace[i].Key, trace[i].Time); err != nil {
+				b.Fatal(err)
 			}
 		}
-		st := c.Stats()
+		st := v.Stats()
 		return 100 * st.HitRate()
 	}
 	lru, reject := run(false), run(true)
@@ -62,21 +60,19 @@ func BenchmarkAblation_EvictionPolicy(b *testing.B) {
 func BenchmarkAblation_AdaptiveFallback(b *testing.B) {
 	p := buildNoSharePipelineRoot(3000)
 	run := func(adaptive bool) (hitPct float64, entries int) {
-		c := gfcache.New(p, gfcache.Config{
+		v := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{
 			NumTables: 3, TableCapacity: 8192, Adaptive: adaptive,
-			AdaptiveTuning: gfcache.AdaptiveConfig{WarmupInstalls: 200, Alpha: 0.05},
+			AdaptiveTuning: gigaflow.AdaptiveTuning{WarmupInstalls: 200, Alpha: 0.05},
 		})
 		for rep := 0; rep < 2; rep++ {
 			for i := uint64(0); i < 3000; i++ {
-				k := noShareKeyRoot(i)
-				if r := c.Lookup(k, int64(i)); !r.Hit {
-					tr := p.MustProcess(k)
-					c.Insert(tr, int64(i))
+				if _, err := v.Process(noShareKeyRoot(i), int64(i)); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}
-		st := c.Stats()
-		return 100 * st.HitRate(), c.Len()
+		st := v.Stats()
+		return 100 * st.HitRate(), v.CacheEntries()
 	}
 	offHit, offEntries := run(false)
 	onHit, onEntries := run(true)
@@ -165,21 +161,22 @@ func BenchmarkAblation_EthTypeExclusion(b *testing.B) {
 
 // --- zero-sharing fixture shared with the adaptive ablation ---
 
-func buildNoSharePipelineRoot(n uint64) *Pipeline {
-	p := NewPipeline("noshare")
-	p.AddTable(0, "a", NewFieldSet(FieldEthDst))
-	p.AddTable(1, "b", NewFieldSet(FieldIPDst))
-	p.AddTable(2, "c", NewFieldSet(FieldTpSrc))
+func buildNoSharePipelineRoot(n uint64) *gigaflow.Pipeline {
+	p := gigaflow.NewPipeline("noshare")
+	p.AddTable(0, "a", gigaflow.NewFieldSet(gigaflow.FieldEthDst))
+	p.AddTable(1, "b", gigaflow.NewFieldSet(gigaflow.FieldIPDst))
+	p.AddTable(2, "c", gigaflow.NewFieldSet(gigaflow.FieldTpSrc))
 	for i := uint64(0); i < n; i++ {
-		p.MustAddRule(0, MatchAll().WithField(FieldEthDst, i), 10, nil, 1)
-		p.MustAddRule(1, MatchAll().WithField(FieldIPDst, i), 10, nil, 2)
-		p.MustAddRule(2, MatchAll().WithField(FieldTpSrc, i), 10, []Action{Output(1)}, NoTable)
+		p.MustAddRule(0, gigaflow.MatchAll().WithField(gigaflow.FieldEthDst, i), 10, nil, 1)
+		p.MustAddRule(1, gigaflow.MatchAll().WithField(gigaflow.FieldIPDst, i), 10, nil, 2)
+		p.MustAddRule(2, gigaflow.MatchAll().WithField(gigaflow.FieldTpSrc, i), 10,
+			[]gigaflow.Action{gigaflow.Output(1)}, gigaflow.NoTable)
 	}
 	return p
 }
 
-func noShareKeyRoot(i uint64) Key {
-	return Key{}.With(FieldEthDst, i).With(FieldIPDst, i).With(FieldTpSrc, i)
+func noShareKeyRoot(i uint64) gigaflow.Key {
+	return gigaflow.Key{}.With(gigaflow.FieldEthDst, i).With(gigaflow.FieldIPDst, i).With(gigaflow.FieldTpSrc, i)
 }
 
 // BenchmarkAblation_PreciseUnwildcarding compares OVS's tuple-union

@@ -80,8 +80,7 @@ func runLatency(p experiments.Params, jsonPath string) (*stats.Table, error) {
 				gigaflow.WithMicroflow(1<<15),
 				gigaflow.WithLatencyRecorder(rec))
 		} else {
-			v = gigaflow.NewVSwitch(w.Pipeline,
-				gigaflow.CacheConfig{NumTables: 1, TableCapacity: 1},
+			v = gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{},
 				gigaflow.WithMegaflowBackend(p.MFCap),
 				gigaflow.WithMicroflow(1<<15),
 				gigaflow.WithLatencyRecorder(rec))

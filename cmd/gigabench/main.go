@@ -5,6 +5,7 @@
 // Usage:
 //
 //	gigabench -exp fig8                # one experiment
+//	gigabench -exp fig8,fig9           # several, sharing one grid run
 //	gigabench -exp all                 # everything (several minutes)
 //	gigabench -exp fig8 -flows 20000   # reduced scale
 //	gigabench -list                    # list experiment IDs
@@ -39,7 +40,7 @@ var jsonOut string
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (or 'all')")
+		exp       = flag.String("exp", "", "experiment id, comma-separated ids, or 'all'")
 		list      = flag.Bool("list", false, "list experiment ids")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		flows     = flag.Int("flows", 100000, "unique flows per trace")
@@ -58,7 +59,7 @@ func main() {
 		return
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "usage: gigabench -exp <id|all> (use -list for ids)")
+		fmt.Fprintln(os.Stderr, "usage: gigabench -exp <id[,id...]|all> (use -list for ids)")
 		os.Exit(2)
 	}
 
@@ -81,7 +82,7 @@ func main() {
 		}
 	}
 
-	ids := []string{*exp}
+	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
 		ids = experimentOrder
 	}

@@ -70,8 +70,7 @@ func runSlowpath(p experiments.Params, jsonPath string) (*stats.Table, error) {
 				gigaflow.CacheConfig{NumTables: p.GFTables, TableCapacity: p.GFTableCap},
 				gigaflow.WithMicroflow(1<<15))
 		} else {
-			v = gigaflow.NewVSwitch(w.Pipeline,
-				gigaflow.CacheConfig{NumTables: 1, TableCapacity: 1},
+			v = gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{},
 				gigaflow.WithMegaflowBackend(p.MFCap),
 				gigaflow.WithMicroflow(1<<15))
 		}

@@ -113,6 +113,22 @@ func TestVSwitchMegaflowBackend(t *testing.T) {
 	}
 }
 
+// TestVSwitchMegaflowZeroCacheConfig: with the Megaflow backend chosen,
+// the Gigaflow shape is unused, so a zero CacheConfig must be accepted
+// rather than rejected as a bad Gigaflow configuration.
+func TestVSwitchMegaflowZeroCacheConfig(t *testing.T) {
+	vs := NewVSwitch(buildDemoPipeline(), CacheConfig{}, WithMegaflowBackend(128))
+	if vs.Cache() != nil || vs.Megaflow() == nil {
+		t.Fatal("want the megaflow backend alone")
+	}
+	if _, err := vs.Process(demoKey(1, 80), 0); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := vs.Process(demoKey(2, 80), 1); err != nil || !r.CacheHit {
+		t.Fatalf("second packet: hit=%v err=%v", r.CacheHit, err)
+	}
+}
+
 func TestVSwitchRevalidation(t *testing.T) {
 	p := buildDemoPipeline()
 	vs := NewVSwitch(p, CacheConfig{NumTables: 3, TableCapacity: 64})

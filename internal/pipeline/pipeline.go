@@ -102,7 +102,7 @@ type Pipeline struct {
 	PreciseWildcards bool
 
 	tables map[int]*Table
-	order  []int // table IDs in registration order
+	order  []*Table // tables in registration order
 	nextID int64
 	pools  map[uint16][]NATTarget
 
@@ -157,7 +157,7 @@ func (p *Pipeline) AddTable(id int, name string, fields flow.FieldSet) *Table {
 	}
 	t := &Table{ID: id, Name: name, MatchFields: fields, MissNext: NoTable, cls: tss.New[*Rule]()}
 	p.tables[id] = t
-	p.order = append(p.order, id)
+	p.order = append(p.order, t)
 	if p.Start == NoTable {
 		p.Start = id
 	}
@@ -177,15 +177,24 @@ func (p *Pipeline) Table(id int) *Table { return p.tables[id] }
 
 // Tables returns all tables in registration order.
 func (p *Pipeline) Tables() []*Table {
-	out := make([]*Table, 0, len(p.order))
-	for _, id := range p.order {
-		out = append(out, p.tables[id])
-	}
-	return out
+	return append(make([]*Table, 0, len(p.order)), p.order...)
 }
 
 // NumTables reports the number of tables.
 func (p *Pipeline) NumTables() int { return len(p.tables) }
+
+// LookupStats reports the rule lookups (one per table visited) and TSS
+// tuple probes summed over every table's classifier since the pipeline
+// was built: traversals, partial replays and revalidation alike. It is a
+// read of counters the classifiers keep anyway; a caller takes deltas
+// around the work it wants to cost.
+func (p *Pipeline) LookupStats() (lookups, probes uint64) {
+	for _, t := range p.order {
+		lookups += t.cls.Lookups
+		probes += t.cls.Probes
+	}
+	return lookups, probes
+}
 
 // NumRules reports the total rule count across tables.
 func (p *Pipeline) NumRules() int {

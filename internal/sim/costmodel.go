@@ -1,7 +1,8 @@
 // Package sim is the end-to-end simulator: it drives a packet trace
-// through a SmartNIC-hosted cache (Gigaflow or Megaflow) with a software
-// slowpath running the full vSwitch pipeline, charging latency and CPU
-// cycles from a model calibrated to the paper's testbed measurements. It
+// through a gigaflow.VSwitch — a SmartNIC-hosted cache (Gigaflow or
+// Megaflow) with a software slowpath running the full vSwitch pipeline,
+// the same datapath the service runs — charging latency and CPU cycles
+// from a model calibrated to the paper's testbed measurements. It
 // reproduces the evaluation's end-to-end figures (hit rate, misses,
 // entries, latency, CPU breakdown, dynamic workloads, core scaling).
 package sim

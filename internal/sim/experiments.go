@@ -3,9 +3,8 @@ package sim
 import (
 	"fmt"
 
+	"gigaflow"
 	"gigaflow/internal/flow"
-	"gigaflow/internal/gigaflow"
-	"gigaflow/internal/megaflow"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/traffic"
 )
@@ -54,31 +53,21 @@ type RevalResult struct {
 }
 
 // RevalidationExperiment fills a Gigaflow (numTables×tableCap) and a
-// Megaflow (mfCap) cache with the workload's flows, perturbs the pipeline
-// (forcing every entry to be re-derived), and measures full-cache
-// revalidation cost under the model.
+// Megaflow (mfCap) VSwitch with the workload's flows, perturbs the
+// pipeline (forcing every entry to be re-derived), and measures
+// full-cache revalidation cost under the model.
 func RevalidationExperiment(w *pipebench.Workload, numFlows int, numTables, tableCap, mfCap int, m CostModel) (gfRes, mfRes RevalResult, err error) {
 	if m.CPUGHz == 0 {
 		m = DefaultCostModel()
 	}
-	gf := gigaflow.New(w.Pipeline, gigaflow.Config{NumTables: numTables, TableCapacity: tableCap})
-	mf := megaflow.New(mfCap)
+	gf := gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{NumTables: numTables, TableCapacity: tableCap})
+	mf := gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{}, gigaflow.WithMegaflowBackend(mfCap))
 	trace := BuildTrace(w, numFlows, traffic.HighLocality, 7)
-	for i := range trace {
-		pkt := &trace[i]
-		if r := gf.Lookup(pkt.Key, pkt.Time); !r.Hit {
-			tr, perr := w.Pipeline.Process(pkt.Key)
-			if perr != nil {
-				return gfRes, mfRes, perr
+	for _, v := range []*gigaflow.VSwitch{gf, mf} {
+		for i := range trace {
+			if _, err := v.Process(trace[i].Key, trace[i].Time); err != nil {
+				return gfRes, mfRes, err
 			}
-			gf.Insert(tr, pkt.Time)
-			mf.Insert(tr, pkt.Time)
-		} else if _, ok := mf.Lookup(pkt.Key, pkt.Time); !ok {
-			tr, perr := w.Pipeline.Process(pkt.Key)
-			if perr != nil {
-				return gfRes, mfRes, perr
-			}
-			mf.Insert(tr, pkt.Time)
 		}
 	}
 
@@ -86,9 +75,9 @@ func RevalidationExperiment(w *pipebench.Workload, numFlows int, numTables, tabl
 	// full revalidation pass over both caches.
 	perturbPipeline(w)
 
-	gfEntries, mfEntries := gf.Len(), mf.Len()
+	gfEntries, mfEntries := gf.CacheEntries(), mf.CacheEntries()
 	gfEv, gfWork := gf.Revalidate()
-	mfEv, mfWork := mf.Revalidate(w.Pipeline)
+	mfEv, mfWork := mf.Revalidate()
 
 	toMs := func(work int) float64 {
 		return float64(m.CyclesToNs(int64(work)*m.CyclesPerRevalStep)) / 1e6

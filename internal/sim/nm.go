@@ -17,21 +17,15 @@ type nmIndex struct {
 	snapshot     *rmi.Classifier[*megaflow.Entry]
 	delta        *tss.Classifier[*megaflow.Entry]
 	sinceRebuild int
-	rebuildEvery int
 }
 
-func newNMIndex(rebuildEvery int) *nmIndex {
-	if rebuildEvery <= 0 {
-		// Retrain frequently enough that the TSS delta stays small —
-		// NuevoMatch's background training keeps remainder updates to a
-		// few hundred rules.
-		rebuildEvery = 96
-	}
-	return &nmIndex{
-		snapshot:     rmi.Build[*megaflow.Entry](nil, rmi.Config{}),
-		delta:        tss.New[*megaflow.Entry](),
-		rebuildEvery: rebuildEvery,
-	}
+// nmRebuildEvery retrains often enough that the TSS delta stays small —
+// NuevoMatch's background training keeps remainder updates to a few
+// hundred rules.
+const nmRebuildEvery = 96
+
+func newNMIndex() *nmIndex {
+	return &nmIndex{snapshot: rmi.Build[*megaflow.Entry](nil, rmi.Config{}), delta: tss.New[*megaflow.Entry]()}
 }
 
 // noteInsert records a newly cached entry in the delta, retraining the
@@ -39,7 +33,7 @@ func newNMIndex(rebuildEvery int) *nmIndex {
 func (n *nmIndex) noteInsert(e *megaflow.Entry, cache *megaflow.Cache) {
 	n.delta.Insert(&tss.Entry[*megaflow.Entry]{Match: e.Match, Priority: 0, Value: e})
 	n.sinceRebuild++
-	if n.sinceRebuild >= n.rebuildEvery {
+	if n.sinceRebuild >= nmRebuildEvery {
 		n.rebuild(cache)
 	}
 }

@@ -3,9 +3,8 @@ package sim
 import (
 	"fmt"
 
+	"gigaflow"
 	"gigaflow/internal/flow"
-	"gigaflow/internal/gigaflow"
-	"gigaflow/internal/megaflow"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/stats"
 	"gigaflow/internal/traffic"
@@ -166,8 +165,11 @@ func (r *Result) HitRate() float64 {
 	return float64(r.Hits) / float64(r.Packets)
 }
 
-// Run drives the trace through a fresh cache of the configured kind backed
-// by the workload's pipeline slowpath.
+// Run drives the trace through a fresh VSwitch of the configured kind —
+// the datapath kernel the service runs — one packet per Process call on
+// the trace's virtual clock, with no microflow tier, conntrack or
+// recorder. The cost model prices each packet from deltas of counters the
+// datapath keeps anyway (see meter).
 func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if len(trace) == 0 {
@@ -176,28 +178,20 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 	res := &Result{Config: cfg, Capacity: cfg.MegaflowCapacity, PerCore: make([]CoreLoad, cfg.Cores)}
 	res.Series.Name = cfg.Label()
 
-	var gf *gigaflow.Cache
-	var mf *megaflow.Cache
-	var nm *nmIndex
-	if cfg.Kind == Gigaflow {
-		gf = gigaflow.New(w.Pipeline, gigaflow.Config{
-			NumTables:     cfg.NumTables,
-			TableCapacity: cfg.TableCapacity,
-			Scheme:        cfg.Scheme,
-			Seed:          cfg.Seed,
-		})
-		res.Capacity = gf.Capacity()
-	} else {
-		mf = megaflow.New(cfg.MegaflowCapacity)
-		if cfg.Search == NM {
-			nm = newNMIndex(0)
-		}
+	var opts []gigaflow.VSwitchOption
+	if cfg.MaxIdleNs > 0 {
+		opts = append(opts, gigaflow.WithMaxIdle(cfg.MaxIdleNs))
 	}
+	if cfg.Kind == Megaflow {
+		opts = append(opts, gigaflow.WithMegaflowBackend(cfg.MegaflowCapacity))
+	}
+	v := gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{NumTables: cfg.NumTables,
+		TableCapacity: cfg.TableCapacity, Scheme: cfg.Scheme, Seed: cfg.Seed}, opts...)
+	mt := newMeter(v, cfg)
 
 	m := cfg.Model
 	var lastExpire, lastSample int64
 	var windowHits, windowTotal uint64
-	var prevGFProbes, prevMFProbes, prevGFTables uint64
 	var totalBytes uint64
 
 	for i := range trace {
@@ -207,113 +201,53 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 
 		if cfg.MaxIdleNs > 0 && now-lastExpire >= cfg.ExpireEveryNs {
 			lastExpire = now
-			if gf != nil {
-				gf.ExpireIdle(now, cfg.MaxIdleNs)
-			} else {
-				mf.ExpireIdle(now, cfg.MaxIdleNs)
-			}
+			v.ExpireIdle(now)
 		}
-
-		// Cache lookup.
-		var hit bool
-		var swCycles int64 // CPU cycles spent searching in software mode
-		if gf != nil {
-			r := gf.Lookup(pkt.Key, now)
-			hit = r.Hit
-			st := gf.Stats()
-			tssProbes := int64(st.TupleProbes - prevGFProbes)
-			tables := int64(st.TablesProbed - prevGFTables)
-			prevGFProbes, prevGFTables = st.TupleProbes, st.TablesProbed
-			swCycles = tssProbes * m.CyclesPerTupleProbe
-			if cfg.Search == NM {
-				// NM replaces each LTM table's scan with model work;
-				// tables with fewer live tuples than that stay on TSS.
-				if nmCycles := tables * gfNMCostPerTable * m.CyclesPerNMUnit; nmCycles < swCycles {
-					swCycles = nmCycles
-				}
-			}
-		} else {
-			_, ok := mf.Lookup(pkt.Key, now)
-			hit = ok
-			tssProbes := int64(mf.TupleProbes() - prevMFProbes)
-			prevMFProbes = mf.TupleProbes()
-			swCycles = tssProbes * m.CyclesPerTupleProbe
-			if cfg.Search == NM {
-				// NuevoMatch is a hybrid: rules live in learned iSets
-				// only where that beats scanning them in the TSS
-				// remainder, so its cost never exceeds plain TSS.
-				rmiUnits, deltaProbes := nm.lookupCost(pkt.Key)
-				if nmCycles := rmiUnits*m.CyclesPerNMUnit + deltaProbes*m.CyclesPerTupleProbe; nmCycles < swCycles {
-					swCycles = nmCycles
-				}
-			}
+		r, err := v.Process(pkt.Key, now)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
 		}
 
 		res.Packets++
-		var latency int64
-		if cfg.Offloaded {
-			latency = m.HWHitNs
-		} else {
-			latency = m.SwCacheBaseNs + m.CyclesToNs(swCycles)
+		latency := m.HWHitNs
+		if !cfg.Offloaded {
+			latency = m.SwCacheBaseNs + m.CyclesToNs(mt.searchCycles(pkt.Key))
 		}
 
-		if hit {
+		if r.CacheHit {
 			res.Hits++
 			windowHits++
 		} else {
-			res.Misses++
 			// Slowpath: full pipeline traversal, cache-rule generation,
-			// installation. Charged to the flow's RSS core.
-			core := int(rssHash(pkt.Key) % uint64(cfg.Cores))
-			tr, err := w.Pipeline.Process(pkt.Key)
-			if err != nil {
-				return nil, fmt.Errorf("sim: slowpath: %v", err)
-			}
-			var br CycleBreakdown
-			br.Pipeline = int64(tr.TuplesProbed)*m.CyclesPerTupleProbe + int64(tr.Len())*m.CyclesPerTableVisit
-			if gf != nil {
-				n := int64(tr.Len())
-				br.Partition = n * n * int64(cfg.NumTables) * m.CyclesPerDPCell
-				entries, err := gf.Insert(tr, now)
-				if err != nil {
-					res.InsertFailures++
-				} else {
-					br.RuleGen = int64(len(entries)) * m.CyclesPerRuleGen
-				}
-			} else {
-				br.RuleGen = m.CyclesPerRuleGen
-				if e := mf.Insert(tr, now); e == nil {
-					res.InsertFailures++
-				} else if nm != nil {
-					nm.noteInsert(e, mf)
-				}
+			// installation. Charged to the flow's RSS core — the
+			// service's shard hash.
+			res.Misses++
+			br, failed := mt.slowpath(pkt.Key)
+			if failed {
+				res.InsertFailures++
 			}
 			res.Cycles.Add(br)
-			res.PerCore[core].Misses++
-			res.PerCore[core].Cycles += br.Total()
+			core := &res.PerCore[pkt.Key.SymHash()%uint64(cfg.Cores)]
+			core.Misses++
+			core.Cycles += br.Total()
+			latency += m.SlowBaseNs + m.CyclesToNs(br.Total())
 			if cfg.Offloaded {
-				latency += m.PuntNs + m.SlowBaseNs + m.CyclesToNs(br.Total())
-			} else {
-				latency += m.SlowBaseNs + m.CyclesToNs(br.Total())
+				latency += m.PuntNs
 			}
 		}
 		res.Latency.Add(float64(latency))
 
 		windowTotal++
 		if cfg.SampleEveryNs > 0 && now-lastSample >= cfg.SampleEveryNs {
-			if windowTotal > 0 {
-				res.Series.Add(float64(now)/1e9, float64(windowHits)/float64(windowTotal))
-			}
+			res.Series.Add(float64(now)/1e9, float64(windowHits)/float64(windowTotal))
 			windowHits, windowTotal = 0, 0
 			lastSample = now
 		}
 	}
 
-	if gf != nil {
-		st := gf.Stats()
-		res.Stalls = st.Stalls
-		res.Entries = gf.Len()
-		res.Coverage = gf.Coverage()
+	res.Entries, res.Coverage, res.MeanSharing = v.CacheEntries(), v.Coverage(), 1
+	if gf := v.Cache(); gf != nil {
+		res.Capacity, res.Stalls = gf.Capacity(), gf.Stats().Stalls
 		if n := gf.Len(); n > 0 {
 			var installs uint64
 			for _, e := range gf.AllEntries() {
@@ -321,26 +255,99 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 			}
 			res.MeanSharing = float64(installs) / float64(n)
 		}
-	} else {
-		res.Entries = mf.Len()
-		res.Coverage = uint64(mf.Len())
-		res.MeanSharing = 1
 	}
 	res.Throughput = computeThroughput(res, totalBytes, cfg.LineRateGbps, m)
 	return res, nil
 }
 
-// rssHash mimics NIC RSS: a hash over the 5-tuple spreading flows across
-// cores (FNV-1a over the tuple lanes).
-func rssHash(k flow.Key) uint64 {
-	h := uint64(14695981039346656037)
-	for _, f := range []flow.FieldID{flow.FieldIPSrc, flow.FieldIPDst, flow.FieldIPProto, flow.FieldTpSrc, flow.FieldTpDst} {
-		v := k.Get(f)
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
+// meter is the cost model's view of the datapath: it prices one packet
+// at a time from deltas of counters the datapath keeps anyway — the main
+// cache's search probes, the pipeline classifiers' lookups and tuple
+// probes, and the install counters — so a figure costs exactly the work
+// VSwitch.Process did.
+type meter struct {
+	v    *gigaflow.VSwitch
+	m    CostModel
+	gfNM bool     // NM search over a CPU-resident Gigaflow cache
+	nm   *nmIndex // NM cost index over a CPU-resident Megaflow cache
+
+	// Counter values after the previous packet: main-cache TSS tuple
+	// probes and LTM tables consulted; pipeline table visits and tuple
+	// probes; LTM rules composed (fresh or shared) and failed installs.
+	cacheProbes, ltmTables, pipeLookups, pipeProbes, rules, installErrs uint64
+}
+
+func newMeter(v *gigaflow.VSwitch, cfg Config) *meter {
+	nm := cfg.Search == NM && !cfg.Offloaded
+	mt := &meter{v: v, m: cfg.Model, gfNM: nm && v.Cache() != nil}
+	if nm && v.Megaflow() != nil {
+		mt.nm = newNMIndex()
+	}
+	mt.pipeLookups, mt.pipeProbes = v.Pipeline().LookupStats()
+	return mt
+}
+
+// searchCycles is the software search cost of the packet's main-cache
+// lookup, for a CPU-resident cache.
+func (mt *meter) searchCycles(k flow.Key) int64 {
+	m := mt.m
+	if gf := mt.v.Cache(); gf != nil {
+		st := gf.Stats()
+		tables := int64(st.TablesProbed - mt.ltmTables)
+		cycles := int64(st.TupleProbes-mt.cacheProbes) * m.CyclesPerTupleProbe
+		mt.cacheProbes, mt.ltmTables = st.TupleProbes, st.TablesProbed
+		if mt.gfNM {
+			// NM replaces each LTM table's scan with model work;
+			// tables with fewer live tuples than that stay on TSS.
+			if nmCycles := tables * gfNMCostPerTable * m.CyclesPerNMUnit; nmCycles < cycles {
+				cycles = nmCycles
+			}
+		}
+		return cycles
+	}
+	mf := mt.v.Megaflow()
+	cycles := int64(mf.TupleProbes()-mt.cacheProbes) * m.CyclesPerTupleProbe
+	mt.cacheProbes = mf.TupleProbes()
+	if mt.nm != nil {
+		// NuevoMatch is a hybrid: rules live in learned iSets only where
+		// that beats scanning them in the TSS remainder, so its cost
+		// never exceeds plain TSS.
+		rmiUnits, deltaProbes := mt.nm.lookupCost(k)
+		if nmCycles := rmiUnits*m.CyclesPerNMUnit + deltaProbes*m.CyclesPerTupleProbe; nmCycles < cycles {
+			cycles = nmCycles
 		}
 	}
-	return h
+	return cycles
+}
+
+// slowpath prices the packet's miss: the traversal, the Gigaflow
+// partitioning, and rule generation. failed reports an install the cache
+// rejected.
+func (mt *meter) slowpath(k flow.Key) (br CycleBreakdown, failed bool) {
+	m := mt.m
+	lookups, probes := mt.v.Pipeline().LookupStats()
+	n := int64(lookups - mt.pipeLookups) // traversal length
+	br.Pipeline = int64(probes-mt.pipeProbes)*m.CyclesPerTupleProbe + n*m.CyclesPerTableVisit
+	mt.pipeLookups, mt.pipeProbes = lookups, probes
+	errs := mt.v.Stats().InstallErrs
+	failed, mt.installErrs = errs != mt.installErrs, errs
+
+	if gf := mt.v.Cache(); gf != nil {
+		st := gf.Stats()
+		rules := st.EntriesCreated + st.SharedReuse
+		br.Partition = n * n * int64(gf.NumTables()) * m.CyclesPerDPCell
+		br.RuleGen = int64(rules-mt.rules) * m.CyclesPerRuleGen
+		mt.rules = rules
+		return br, failed
+	}
+	br.RuleGen = m.CyclesPerRuleGen
+	if mf := mt.v.Megaflow(); mt.nm != nil && !failed {
+		// The packet's own entry is the one just installed. Peek probes
+		// the classifier, which is no packet's search cost.
+		if e, ok := mf.Peek(k); ok {
+			mt.nm.noteInsert(e, mf)
+		}
+		mt.cacheProbes = mf.TupleProbes()
+	}
+	return br, failed
 }

@@ -520,9 +520,6 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		perWorker.TableCapacity = shareOf(cfg.Cache.TableCapacity, cfg.Workers, i)
 		if cfg.Backend == BackendMegaflow {
 			opts = append(opts, gigaflow.WithMegaflowBackend(shareOf(cfg.MegaflowCapacity, cfg.Workers, i)))
-			// NewVSwitch still wants a valid Gigaflow shape before the
-			// option swaps the backend out.
-			perWorker = gigaflow.CacheConfig{NumTables: 1, TableCapacity: 1}
 		}
 		if cfg.MicroflowCapacity > 0 {
 			opts = append(opts, gigaflow.WithMicroflow(shareOf(cfg.MicroflowCapacity, cfg.Workers, i)))

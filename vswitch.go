@@ -98,11 +98,9 @@ func WithMaxIdle(ns int64) VSwitchOption {
 
 // WithMegaflowBackend replaces the Gigaflow cache with a Megaflow cache of
 // the given capacity — the baseline configuration, useful for comparisons.
+// NewVSwitch then ignores its CacheConfig, which may be zero.
 func WithMegaflowBackend(capacity int) VSwitchOption {
-	return func(v *VSwitch) {
-		v.gf = nil
-		v.mf = megaflow.New(capacity)
-	}
+	return func(v *VSwitch) { v.mf = megaflow.New(capacity) }
 }
 
 // WithMicroflow fronts the main cache with an exact-match Microflow tier
@@ -146,11 +144,15 @@ func WithSlowpathLock(mu *sync.Mutex) VSwitchOption {
 }
 
 // NewVSwitch builds a vSwitch around a pipeline with a Gigaflow cache of
-// the given configuration.
+// the given configuration, or with the Megaflow cache WithMegaflowBackend
+// chose.
 func NewVSwitch(p *Pipeline, cfg CacheConfig, opts ...VSwitchOption) *VSwitch {
-	v := &VSwitch{pipe: p, gf: gfcache.New(p, cfg)}
+	v := &VSwitch{pipe: p}
 	for _, o := range opts {
 		o(v)
+	}
+	if v.mf == nil {
+		v.gf = gfcache.New(p, cfg)
 	}
 	v.ufb, v.gfb, v.mfb = v.uf.BatchLookup(), v.gf.BatchLookup(), v.mf.BatchLookup() // nil-safe
 	return v
