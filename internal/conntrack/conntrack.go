@@ -77,29 +77,34 @@ type NATBinding struct {
 // Conn is one tracked connection. Fields are owned by the table; callers
 // treat connections as read-only handles.
 type Conn struct {
-	// Orig is the forward-direction 5-tuple as first seen (pre-NAT).
-	Orig flow.Key
-	// reply is the tuple reply packets carry, updated when a NAT binding
-	// rewrites it.
-	reply flow.Key
+	// The fields a memoized hit reads and writes (the datapath's ctServe
+	// guard: State, Epoch, then the touch of LastSeen and lastMoved) come
+	// first so they share one cache line.
+
 	// State is the current lifecycle state.
 	State State
 	// Epoch is the stamp of the connection's last creation or transition;
 	// see the package comment for the invalidation protocol.
 	Epoch uint64
-	// DNAT / SNAT are the connection's NAT bindings, if any.
-	DNAT NATBinding
-	SNAT NATBinding
 	// LastSeen is the virtual time (ns) of the connection's most recent
 	// packet.
 	LastSeen int64
-	// Created is the connection's creation time (virtual ns).
-	Created int64
 	// lastMoved is the time of the connection's last LRU reposition.
 	// Touches reposition lazily — at most once per repositionQuantum —
 	// so the list order tracks LastSeen only to within the quantum;
 	// ExpireIdle compensates (see there). LastSeen itself is exact.
 	lastMoved int64
+
+	// Orig is the forward-direction 5-tuple as first seen (pre-NAT).
+	Orig flow.Key
+	// reply is the tuple reply packets carry, updated when a NAT binding
+	// rewrites it.
+	reply flow.Key
+	// DNAT / SNAT are the connection's NAT bindings, if any.
+	DNAT NATBinding
+	SNAT NATBinding
+	// Created is the connection's creation time (virtual ns).
+	Created int64
 
 	prev, next *Conn // LRU list, most recent at front
 }

@@ -103,11 +103,23 @@ type TableStats struct {
 type ltmTable struct {
 	idx      int
 	capacity int
-	byTag    map[int]*tss.Classifier[*Entry]
-	count    int
-	lruHead  *Entry
-	lruTail  *Entry
-	stats    TableStats
+	// byTag holds one classifier group per resident tag, indexed by the
+	// tag (a pipeline table ID); nil slots are tags with no entries. tags
+	// counts the non-nil slots.
+	byTag   []*tss.Classifier[*Entry]
+	tags    int
+	count   int
+	lruHead *Entry
+	lruTail *Entry
+	stats   TableStats
+}
+
+// group returns tag's classifier group, or nil when none is resident.
+func (t *ltmTable) group(tag int) *tss.Classifier[*Entry] {
+	if uint(tag) >= uint(len(t.byTag)) {
+		return nil
+	}
+	return t.byTag[tag]
 }
 
 // lookup probes the classifier group for tag, returning the best match
@@ -115,7 +127,7 @@ type ltmTable struct {
 //
 //gf:hotpath
 func (t *ltmTable) lookup(tag int, k flow.Key) (*Entry, int) {
-	cls := t.byTag[tag]
+	cls := t.group(tag)
 	if cls == nil {
 		return nil, 0
 	}
@@ -127,7 +139,7 @@ func (t *ltmTable) lookup(tag int, k flow.Key) (*Entry, int) {
 }
 
 func (t *ltmTable) get(tag int, m flow.Match, prio int) *Entry {
-	cls := t.byTag[tag]
+	cls := t.group(tag)
 	if cls == nil {
 		return nil
 	}
@@ -139,10 +151,17 @@ func (t *ltmTable) get(tag int, m flow.Match, prio int) *Entry {
 }
 
 func (t *ltmTable) insert(e *Entry) {
-	cls := t.byTag[e.Tag]
+	cls := t.group(e.Tag)
 	if cls == nil {
+		if e.Tag < 0 {
+			panic(fmt.Sprintf("gigaflow: negative LTM tag %d", e.Tag))
+		}
+		if e.Tag >= len(t.byTag) {
+			t.byTag = append(t.byTag, make([]*tss.Classifier[*Entry], e.Tag+1-len(t.byTag))...)
+		}
 		cls = tss.New[*Entry]()
 		t.byTag[e.Tag] = cls
+		t.tags++
 	}
 	cls.Insert(&tss.Entry[*Entry]{Match: e.Match, Priority: e.Priority, Value: e})
 	e.table = t
@@ -151,7 +170,7 @@ func (t *ltmTable) insert(e *Entry) {
 }
 
 func (t *ltmTable) remove(e *Entry) {
-	cls := t.byTag[e.Tag]
+	cls := t.group(e.Tag)
 	if cls == nil {
 		return
 	}
@@ -159,7 +178,8 @@ func (t *ltmTable) remove(e *Entry) {
 		t.count--
 		t.unlink(e)
 		if cls.Len() == 0 {
-			delete(t.byTag, e.Tag)
+			t.byTag[e.Tag] = nil
+			t.tags--
 		}
 	}
 }
@@ -198,9 +218,13 @@ func (t *ltmTable) touch(e *Entry) {
 	t.pushFront(e)
 }
 
+// entries lists the table's entries in tag order.
 func (t *ltmTable) entries() []*Entry {
 	out := make([]*Entry, 0, t.count)
 	for _, cls := range t.byTag {
+		if cls == nil {
+			continue
+		}
 		cls.Range(func(e *tss.Entry[*Entry]) bool {
 			out = append(out, e.Value)
 			return true
@@ -302,7 +326,7 @@ func New(p *pipeline.Pipeline, cfg Config) *Cache {
 		path:     make([]*Entry, 0, cfg.NumTables),
 	}
 	for i := range c.tables {
-		c.tables[i] = &ltmTable{idx: i, capacity: cfg.TableCapacity, byTag: make(map[int]*tss.Classifier[*Entry])}
+		c.tables[i] = &ltmTable{idx: i, capacity: cfg.TableCapacity}
 	}
 	if cfg.Adaptive {
 		c.adapt = &adaptState{cfg: cfg.AdaptiveTuning.withDefaults()}
@@ -350,7 +374,7 @@ type TableSnapshot struct {
 func (c *Cache) TableSnapshot(i int) TableSnapshot {
 	t := c.tables[i]
 	return TableSnapshot{Index: i, Len: t.count, Capacity: t.capacity,
-		Tags: len(t.byTag), TableStats: t.stats}
+		Tags: t.tags, TableStats: t.stats}
 }
 
 // Snapshot bundles cache-wide counters, occupancy, and the per-table view
@@ -649,7 +673,7 @@ func (c *Cache) Remove(e *Entry) {
 	c.stats.CtInvalid++
 }
 
-// Entries returns every entry of table i in unspecified order.
+// Entries returns every entry of table i, grouped by ascending tag.
 func (c *Cache) Entries(i int) []*Entry { return c.tables[i].entries() }
 
 // AllEntries returns every entry across tables.

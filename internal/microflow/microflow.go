@@ -88,7 +88,8 @@ func (c *Cache) Snapshot() Snapshot {
 	return Snapshot{Stats: c.stats, Len: c.Len(), Capacity: c.capacity}
 }
 
-// Lookup finds the entry for exactly k.
+// Lookup finds the entry for exactly k. The entry is valid only until
+// the next Insert, which may recycle it for another flow (see Insert).
 //
 //gf:hotpath
 func (c *Cache) Lookup(k flow.Key, now int64) (*Entry, bool) {
@@ -145,7 +146,12 @@ func (b *BatchLookup) Flush() {
 }
 
 // Insert memoizes the result of processing k. An existing entry for k is
-// overwritten.
+// overwritten. At capacity the least-recently-used entry is evicted and
+// its storage reused for k, so a full tier inserts without allocating.
+//
+// The returned *Entry, like Lookup's, is valid only until the next
+// Insert: eviction recycles entries in place, so callers must copy what
+// they need rather than keep the pointer.
 func (c *Cache) Insert(k, final flow.Key, v flow.Verdict, now int64) *Entry {
 	if old, ok := c.entries.Lookup(k); ok {
 		old.Final, old.Verdict, old.LastHit = final, v, now
@@ -153,13 +159,18 @@ func (c *Cache) Insert(k, final flow.Key, v flow.Verdict, now int64) *Entry {
 		c.touch(old)
 		return old
 	}
+	var e *Entry
 	if c.entries.Len() >= c.capacity {
 		if t := c.lruTail; t != nil {
 			c.remove(t)
 			c.stats.EvictLRU++
+			e = t
 		}
 	}
-	e := &Entry{Key: k, Final: final, Verdict: v, LastHit: now}
+	if e == nil {
+		e = new(Entry)
+	}
+	*e = Entry{Key: k, Final: final, Verdict: v, LastHit: now}
 	c.entries.Put(k, e)
 	c.pushFront(e)
 	c.stats.Inserts++

@@ -101,6 +101,38 @@ func TestCapacityChurn(t *testing.T) {
 	}
 }
 
+// TestInsertAtCapacityZeroAlloc pins the eviction-reuse contract: once
+// the tier is full, inserting a new flow recycles the evicted LRU entry
+// instead of allocating one, and the recycled entry carries no state from
+// its previous flow.
+func TestInsertAtCapacityZeroAlloc(t *testing.T) {
+	const capacity = 64
+	c := New(capacity)
+	for i := 0; i < capacity; i++ {
+		e := c.Insert(mk(uint64(i)), mk(uint64(i)), flow.Verdict{Kind: flow.VerdictOutput, Port: 1}, 0)
+		e.Hits = 7
+		e.CtEpoch = 9
+	}
+	next := uint64(capacity)
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Insert(mk(next), mk(next), flow.Verdict{Kind: flow.VerdictOutput, Port: 2}, int64(next))
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Insert at capacity allocates %.1f per call, want 0", allocs)
+	}
+	if c.Len() != capacity {
+		t.Fatalf("Len = %d, want %d", c.Len(), capacity)
+	}
+	e, ok := c.Lookup(mk(next-1), int64(next))
+	if !ok {
+		t.Fatal("latest insert missing")
+	}
+	if e.Key != mk(next-1) || e.Verdict.Port != 2 || e.Hits != 1 || e.CtEpoch != 0 || e.Ct != nil {
+		t.Fatalf("recycled entry kept stale state: %+v", e)
+	}
+}
+
 func TestBadCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -72,10 +72,11 @@ const (
 
 // LatencyRecorder attributes per-packet latency to resolution tiers and
 // keeps a flight ring of recent per-packet events. It is single-writer
-// by design: all state belongs to one worker goroutine, so the hot path
-// is plain loads and stores — no locks, no atomics. Dumps and spike
-// snapshots run as control ops on the owning goroutine, the same
-// discipline the /cache endpoint uses for cache internals.
+// by design: one owner at a time holds all its state (in the service,
+// whoever holds the shard's lock), so the hot path is plain loads and
+// stores — no atomics. Dumps and spike snapshots run as control ops under
+// the same ownership, the discipline the /cache endpoint uses for cache
+// internals.
 //
 // The ring is write-minimal: a hit stores only the per-packet facts
 // (key hash, batch, tier, flags). Its timestamp and latency are implied

@@ -2,12 +2,15 @@
 // submit path every public entry point (Submit, SubmitFrame, SubmitBatch,
 // SubmitFrameBatch, and Replay) wraps.
 //
-// A batch is scattered by RSS shard into at most one job per worker, so
-// the whole batch crosses each worker channel once — the channel
-// round-trip, result delivery, and latency observation are amortized
-// across the batch instead of paid per packet, and the worker runs the
-// job through VSwitch.ProcessBatch, which amortizes the cache and stats
-// bookkeeping the same way.
+// A batch is scattered by RSS shard into at most one job per worker, and
+// each job runs through VSwitch.ProcessBatch, which amortizes the cache
+// and stats bookkeeping across its packets. A blocking submission queues
+// every job but its last, then runs that last one itself under the
+// shard's lock when the shard has nothing in flight (caller-runs), so a
+// one-shard batch crosses no channel at all and an N-shard batch has the
+// submitter as one of its N runners; the queued jobs cross their worker
+// channels once each. Result delivery and the latency observation are
+// paid per batch, not per packet.
 package service
 
 import (
@@ -56,9 +59,11 @@ type frameRef struct {
 }
 
 // batchJob is one worker's slice of a submitted batch. It crosses the
-// worker channel as a single message; the worker processes keys through
-// VSwitch.ProcessBatch, writes res, fans results to resp when set, and
-// signals done.
+// worker channel as a single message, or runs inline on the submitting
+// goroutine; either way the shard processes keys through
+// VSwitch.ProcessBatch and writes res. A queued job's results stream to
+// resp when set and its completion is signalled on done, both after the
+// shard lock is released.
 type batchJob struct {
 	keys  []gigaflow.Key
 	metas []uint8  // per-key TCP flag bytes, parallel to keys
@@ -74,23 +79,23 @@ type batchJob struct {
 	wire   []byte
 
 	done     chan *batchJob // completion signal (nil for fire-and-forget)
-	resp     chan<- Result  // optional per-result fan-out
+	resp     chan<- Result  // per-result fan-out (nonblocking jobs only)
 	gathered bool           // completion collected by the submitter
 
 	// pending refcounts outstanding work: 1 for the batch scan plus 1
 	// per parked packet (async offload mode), each released by settle,
-	// so done fires exactly once — when the last parked packet resolves,
-	// or at scan end if nothing parked. Worker goroutine only.
+	// so the job finishes exactly once — when the last parked packet
+	// resolves, or at scan end if nothing parked. Guarded by the shard
+	// lock.
 	pending int
 }
 
-// settle releases one unit of the job's outstanding work (see pending),
-// signalling done when it was the last. Worker goroutine only.
-func (j *batchJob) settle() {
+// settle releases one unit of the job's outstanding work (see pending)
+// and reports whether it was the last, so the caller signals done once
+// it has released the shard lock.
+func (j *batchJob) settle() bool {
 	j.pending--
-	if j.pending == 0 && j.done != nil {
-		j.done <- j
-	}
+	return j.pending == 0
 }
 
 // offer streams r to the job's response channel without blocking: the
@@ -245,7 +250,7 @@ func Nonblocking() SubmitOption {
 // to resp (dropped packets produce no send). The channel must have
 // capacity for all results routed to it — the worker's send is blocking.
 // It has no effect on blocking submissions, whose results land in the
-// Batch (or the returned Result) already.
+// Batch (or the returned Result) already: nothing is sent on resp.
 func WithResponse(resp chan<- Result) SubmitOption {
 	return func(o submitOpts) submitOpts { o.resp = resp; return o }
 }
@@ -327,19 +332,20 @@ func (s *Service) submit(ctx context.Context, b *Batch, o submitOpts) error {
 	case stateClosed:
 		return ErrClosed
 	}
-	return s.submitBlocking(ctx, b, o.resp)
+	return s.submitBlocking(ctx, b)
 }
 
 // submitBlocking scatters b into per-worker jobs backed by the batch's
-// own reusable buffers, enqueues each job as one message, and gathers
-// completions. On context cancellation or service shutdown it still
-// drains every job already handed to a worker — workers write into the
-// batch's buffers, so returning while one is in flight would corrupt the
-// next use of the batch and leak its results.
-func (s *Service) submitBlocking(ctx context.Context, b *Batch, resp chan<- Result) error {
+// own reusable buffers, enqueues each job as one message — except the
+// last, which it runs inline on its shard when it can (runInline) — and
+// gathers completions. On context cancellation or service shutdown it
+// still drains every job already handed to a worker — workers write into
+// the batch's buffers, so returning while one is in flight would corrupt
+// the next use of the batch and leak its results.
+func (s *Service) submitBlocking(ctx context.Context, b *Batch) error {
 	// An already-cancelled context must fail deterministically: the enqueue
-	// select below picks at random among ready cases, and an open
-	// worker-queue slot would otherwise race ctx.Done.
+	// select picks at random among ready cases, and an open worker-queue
+	// slot would otherwise race ctx.Done.
 	if err := ctx.Err(); err != nil {
 		for i := range b.reqs {
 			if b.reqs[i].Result.Err == nil {
@@ -351,6 +357,7 @@ func (s *Service) submitBlocking(ctx context.Context, b *Batch, resp chan<- Resu
 	nw := len(s.workers)
 	b.ensureJobs(nw)
 	wirePath := len(b.wire) > 0
+	last := -1 // the last non-empty job: this goroutine runs it
 	for i := range b.reqs {
 		if b.reqs[i].Result.Err != nil {
 			continue // pre-rejected (bad frame): never submitted
@@ -361,6 +368,7 @@ func (s *Service) submitBlocking(ctx context.Context, b *Batch, resp chan<- Resu
 		} else {
 			w = s.shardOfKey(&b.reqs[i].Key)
 		}
+		last = max(last, w)
 		j := &b.jobs[w]
 		j.keys = append(j.keys, b.reqs[i].Key)
 		j.metas = append(j.metas, b.reqs[i].Meta)
@@ -377,28 +385,39 @@ func (s *Service) submitBlocking(ctx context.Context, b *Batch, resp chan<- Resu
 	start := time.Now()
 	enqueued := 0
 	var callErr error
-enqueue:
 	for w := range b.jobs {
 		j := &b.jobs[w]
 		if len(j.keys) == 0 {
 			continue
 		}
 		j.done = b.done
-		j.resp = resp
 		if cap(j.res) < len(j.keys) {
 			j.res = make([]Result, len(j.keys))
 		}
 		j.res = j.res[:len(j.keys)]
-		select {
-		case s.workers[w].in <- message{job: j}:
-			enqueued++
-		case <-ctx.Done():
-			callErr = ctx.Err()
-			break enqueue
-		case <-s.term:
-			callErr = ErrClosed
-			break enqueue
+		if w == last {
+			ran, finished, err := s.runInline(s.workers[w], j)
+			if err != nil {
+				callErr = err
+				break
+			}
+			if ran {
+				if finished {
+					j.collect(b)
+				} else {
+					enqueued++ // parked packets complete it through done
+				}
+				break
+			}
+			// The shard has messages in flight: queue behind them.
 		}
+		if !s.workers[w].post(message{job: j}, ctx.Done(), s.term) {
+			if callErr = ctx.Err(); callErr == nil {
+				callErr = ErrClosed
+			}
+			break
+		}
+		enqueued++
 	}
 
 	for collected := 0; collected < enqueued; {
@@ -496,9 +515,7 @@ func (s *Service) submitNonblocking(b *Batch, resp chan<- Result) error {
 			continue
 		}
 		j.res = make([]Result, len(j.keys))
-		select {
-		case s.workers[w].in <- message{job: j}:
-		default:
+		if !s.workers[w].tryPost(message{job: j}) {
 			s.workers[w].drops.Add(uint64(len(j.keys)))
 			for _, ri := range j.idx {
 				b.reqs[ri].Result = Result{Err: ErrQueueFull}

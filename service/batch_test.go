@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"gigaflow"
 	wire "gigaflow/internal/packet"
@@ -327,5 +328,46 @@ func TestNonblockingSingleSubmit(t *testing.T) {
 	}
 	if _, err := s.SubmitFrame(ctx, 0, []byte{1, 2}, Nonblocking()); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("SubmitFrame(short) = %v, want ErrShortFrame", err)
+	}
+}
+
+// TestBlockingIgnoresWithResponse: WithResponse has no effect on a
+// blocking submission. The call returns with its results in the batch
+// even though the unbuffered channel is never read, and nothing is sent
+// on it, at one shard and at two (where part of the batch is queued to
+// a worker and part runs on the submitting goroutine).
+func TestBlockingIgnoresWithResponse(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		s, ctx := startService(t, workers)
+		resp := make(chan Result)
+		b := NewBatch(16)
+		for i := 0; i < 16; i++ {
+			b.Add(key(uint64(i), 80))
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.SubmitBatch(ctx, b, WithResponse(resp)) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case r := <-resp:
+			t.Fatalf("%d workers: blocking submission streamed %+v", workers, r)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d workers: blocking SubmitBatch with an unread WithResponse channel hung", workers)
+		}
+		for i := 0; i < b.Len(); i++ {
+			if r := b.Result(i); r.Err != nil || r.Verdict.Port != 1 {
+				t.Fatalf("%d workers: request %d: %+v", workers, i, r)
+			}
+		}
+		if r, err := s.Submit(ctx, key(1, 80), WithResponse(resp)); err != nil || r.Verdict.Port != 1 {
+			t.Fatalf("%d workers: Submit with WithResponse: %+v, %v", workers, r, err)
+		}
+		select {
+		case r := <-resp:
+			t.Fatalf("%d workers: blocking submission streamed %+v", workers, r)
+		default:
+		}
 	}
 }

@@ -9,9 +9,14 @@
 // shared-nothing: each worker owns a full replica of the pipeline and its
 // own cache shard, and every flow is RSS-hashed to exactly one worker —
 // the same spreading a NIC performs before delivering to per-core queues.
-// Rule updates are deterministic functions applied to every replica on its
-// own goroutine, so replicas never diverge and the fast path never takes a
-// lock.
+// Rule updates are deterministic functions applied to every replica as
+// queued control ops, so replicas never diverge.
+//
+// Each shard has one lock, worker.mu, and whoever holds it drives the
+// shard: the worker goroutine around every message it dequeues, or a
+// blocking submitter that finds the shard idle and runs its own job
+// inline instead of paying a channel round-trip to the worker (caller-runs
+// submission, see runInline). Nothing that can block runs under it.
 package service
 
 import (
@@ -358,24 +363,47 @@ type Result struct {
 }
 
 // message is one unit of work on a worker's input queue: a batch job
-// (every submission, even a single key, crosses the channel as one), a
-// group of engine-completed upcalls to apply (async offload mode), or a
+// (every submission that does not run inline crosses the channel as one),
+// a group of engine-completed upcalls to apply (async offload mode), or a
 // control function (rule update, revalidation, expiry, a stats snapshot)
-// executed inline on the worker goroutine so its pipeline and cache are
-// never touched concurrently. Exactly one field is set.
+// executed under the shard lock so its pipeline and cache are never
+// touched concurrently. Exactly one of job, comp and control is set; ack,
+// when non-nil, is signalled once the message has run and the lock is
+// released.
 type message struct {
 	job     *batchJob
 	comp    []*upcall.Miss[parked]
 	control func()
+	ack     chan<- struct{}
 }
 
 // worker owns one pipeline replica and one cache shard.
+//
+// Single-owner rule: whoever holds mu drives the shard — vs, rec, the
+// pending table, the kernel scratch buffers, out, and the plain counters
+// below. The worker goroutine holds it around each message it runs; a
+// blocking submitter holds it to run its own job inline (runInline), which
+// it may do only while inflight is 0, so it never overtakes a queued
+// message. No channel operation and nothing else that can block runs
+// under mu: the sends a message owes are queued on out and made by the
+// worker goroutine after it unlocks.
 type worker struct {
+	mu    sync.Mutex
 	vs    *gigaflow.VSwitch
 	rec   *telemetry.LatencyRecorder // nil when Config.Latency.Disable
 	fm    *frameMetrics              // shared frame accounting (atomic counters)
 	in    chan message
 	label string // worker index, precomputed for metric labels
+
+	// inflight counts messages sent to in and not yet finished: every send
+	// site adds 1 before sending (undone if the send fails), and the
+	// worker subtracts 1 under mu after running (or draining) the message.
+	// A message the worker has dequeued but not yet locked still counts,
+	// which is why an inline submitter checks this and not len(in).
+	inflight atomic.Int64
+	// stopped is set under mu once drain has swept the shard: nothing may
+	// run on it afterwards, and an inline submitter fails with ErrClosed.
+	stopped bool
 
 	// Kernel output scratch (see scratch), grown to the largest job seen
 	// so the steady-state batch path allocates nothing.
@@ -383,13 +411,19 @@ type worker struct {
 	procErr  []error
 	procPark []bool
 
+	// out collects the channel sends the message being run owes. Only the
+	// worker goroutine fills it (inline jobs carry no response stream, and
+	// their submitter collects them directly), and it flushes it after
+	// unlocking.
+	out outbox
+
 	drops atomic.Uint64 // nonblocking rejections due to a full queue
 	skips atomic.Uint64 // expiry sweeps skipped due to a full queue
 
 	// Asynchronous offload state (Config.Upcall.Workers > 0). pending and
-	// the counters below belong to the worker goroutine; slowMu is the
-	// one lock shared with the engine, taken only around pipeline
-	// traversals and rule mutations — never on the cache-hit path.
+	// the counters below are guarded by mu; slowMu is the one lock shared
+	// with the engine, taken only around pipeline traversals and rule
+	// mutations — never on the cache-hit path — and always after mu.
 	async    bool
 	idx      int // worker index = upcall.Miss.Shard
 	overflow OverflowPolicy
@@ -402,6 +436,71 @@ type worker struct {
 	stale     uint64 // engine traversals discarded
 	completed uint64 // flow completions applied
 	released  uint64 // parked packets answered
+}
+
+// outbox is the list of channel sends a message run under the shard lock
+// owes — per-result streams to a job's WithResponse channel and job
+// completion signals — made by flush once the lock is released.
+type outbox struct {
+	sends []parked    // results to stream, in delivery order
+	done  []*batchJob // finished jobs to signal
+}
+
+// stream queues j.res[idx] for j's response channel, if it has one.
+func (o *outbox) stream(j *batchJob, idx int) {
+	if j.resp != nil {
+		o.sends = append(o.sends, parked{job: j, idx: idx})
+	}
+}
+
+// finish queues j's completion signal, if it has a completion channel.
+func (o *outbox) finish(j *batchJob) {
+	if j.done != nil {
+		o.done = append(o.done, j)
+	}
+}
+
+// flush makes the queued sends. Response sends block (WithResponse's
+// contract); completion sends never do, since each job signals its
+// batch's done channel once and that channel holds one slot per job.
+func (o *outbox) flush() {
+	for _, p := range o.sends {
+		p.job.resp <- p.job.res[p.idx]
+	}
+	for _, j := range o.done {
+		j.done <- j
+	}
+	clear(o.sends)
+	clear(o.done)
+	o.sends, o.done = o.sends[:0], o.done[:0]
+}
+
+// post sends m to the worker's queue, counting it in flight, and blocks
+// until the queue accepts it or cancel or term fires (a nil channel never
+// does). It reports whether m was sent.
+func (w *worker) post(m message, cancel, term <-chan struct{}) bool {
+	w.inflight.Add(1)
+	select {
+	case w.in <- m:
+		return true
+	case <-cancel:
+	case <-term:
+	}
+	w.inflight.Add(-1)
+	return false
+}
+
+// tryPost is post without blocking: it reports false when the queue is
+// full.
+func (w *worker) tryPost(m message) bool {
+	w.inflight.Add(1)
+	select {
+	case w.in <- m:
+		return true
+	default:
+		w.inflight.Add(-1)
+		return false
+	}
 }
 
 // Lifecycle states, tracked in Service.state so the submission hot path
@@ -527,7 +626,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		var rec *telemetry.LatencyRecorder
 		if !cfg.Latency.Disable {
 			// One recorder per worker: like the VSwitch it instruments, its
-			// state is single-writer and lives on the worker goroutine.
+			// state is single-writer: whoever holds the shard lock drives it.
 			rec = telemetry.NewLatencyRecorder(cfg.Latency.FlightRecords, cfg.Latency.Spike)
 			opts = append(opts, gigaflow.WithLatencyRecorder(rec))
 		}
@@ -611,20 +710,45 @@ func (s *Service) runWorker(ctx context.Context, w *worker) {
 			w.drain()
 			return
 		case m := <-w.in:
-			w.run(m)
+			w.handle(m, false)
 		}
 	}
 }
 
-// run executes one queued message on the worker goroutine. The wall
-// clock is read once per message and threaded through the whole job or
+// handle runs one dequeued message under the shard lock — or, with fail
+// set (shutdown), fails a job with ErrClosed instead of running it — then
+// releases the lock and makes the sends the message owes.
+func (w *worker) handle(m message, fail bool) {
+	w.mu.Lock()
+	if fail && m.job != nil {
+		j := m.job
+		for i := range j.res {
+			j.res[i] = Result{Err: ErrClosed}
+			j.offer(j.res[i])
+		}
+		w.out.finish(j)
+	} else {
+		w.run(m)
+	}
+	w.inflight.Add(-1)
+	w.mu.Unlock()
+	w.out.flush()
+	if m.ack != nil {
+		m.ack <- struct{}{}
+	}
+}
+
+// run executes one queued message; the caller holds w.mu. The wall clock
+// is read once per message and threaded through the whole job or
 // completion group, so every packet in it ages the caches identically and
 // the latency recorder anchors its flight timestamps on the same stamp
 // that touched the cache entries.
 func (w *worker) run(m message) {
 	switch {
 	case m.job != nil:
-		w.runJob(m.job, time.Now().UnixNano())
+		if w.runJob(m.job, time.Now().UnixNano()) {
+			w.out.finish(m.job)
+		}
 	case m.comp != nil:
 		now := time.Now().UnixNano()
 		for _, c := range m.comp {
@@ -635,12 +759,39 @@ func (w *worker) run(m message) {
 	}
 }
 
-// runJob processes one batch job: a single kernel call covers every key
-// — one VSwitch stats flush and one counter flush per cache tier for the
-// whole job — then results fan back to the submitter, who paid one
-// channel message for all of them. now is the message's single wall-clock
-// stamp, shared by every packet in the job.
-func (w *worker) runJob(j *batchJob, now int64) {
+// runInline is the caller-runs half of blocking submission: it runs job j
+// on worker w's shard from the submitting goroutine, under the shard
+// lock, saving the two goroutine handoffs of a queue round-trip. It runs
+// only while w has no message in flight — otherwise j could overtake an
+// earlier packet of one of its flows — and reports ran false so the
+// caller queues j instead. finished reports that every packet of j has
+// its result; otherwise some parked behind an upcall and j completes
+// through its done channel. ErrClosed means the service is closed or the
+// shard already drained.
+func (s *Service) runInline(w *worker, j *batchJob) (ran, finished bool, err error) {
+	w.mu.Lock()
+	if s.state.Load() == stateClosed || w.stopped {
+		w.mu.Unlock()
+		return false, false, ErrClosed
+	}
+	if w.inflight.Load() != 0 {
+		w.mu.Unlock()
+		return false, false, nil
+	}
+	finished = w.runJob(j, time.Now().UnixNano())
+	w.mu.Unlock()
+	return true, finished, nil
+}
+
+// runJob processes one batch job under the shard lock: a single kernel
+// call covers every key — one VSwitch stats flush and one counter flush
+// per cache tier for the whole job. now is the run's single wall-clock
+// stamp, shared by every packet in the job. It reports whether the job
+// finished (nothing parked); it never signals the job's completion
+// itself, since that is a channel send. A job with a response stream
+// (nonblocking, so run by the worker goroutine) queues its results on
+// w.out.
+func (w *worker) runJob(j *batchJob, now int64) bool {
 	// Wire-path entries arrive as raw frame bytes: the submitter routed
 	// them by the RSS hash alone, so the full decode runs here, on the
 	// owning shard — in parallel across workers — before the batch scan.
@@ -666,9 +817,9 @@ func (w *worker) runJob(j *batchJob, now int64) {
 		w.vs.ProcessBatchMeta(j.keys, j.metas, out, errs, now)
 		parks = nil
 	}
-	// j.pending counts the scan itself plus one per parked packet, so done
-	// fires exactly once: here if nothing parked, otherwise on the last
-	// parked packet's delivery.
+	// j.pending counts the scan itself plus one per parked packet, so the
+	// job finishes exactly once: here if nothing parked, otherwise on the
+	// last parked packet's delivery.
 	j.pending = 1
 	for i := 0; i < n; i++ {
 		if parks != nil && parks[i] {
@@ -680,11 +831,9 @@ func (w *worker) runJob(j *batchJob, now int64) {
 		} else {
 			j.res[i] = Result{Verdict: out[i].Verdict, Final: out[i].Final, CacheHit: out[i].CacheHit, Err: errs[i]}
 		}
-		if j.resp != nil {
-			j.resp <- j.res[i]
-		}
+		w.out.stream(j, i)
 	}
-	j.settle()
+	return j.settle()
 }
 
 // scratch returns the worker's kernel output buffers sized to n, grown to
@@ -706,24 +855,20 @@ func (w *worker) scratch(n int) ([]gigaflow.ProcessResult, []error, []bool) {
 // that point are dropped with the queue, exactly like packets lost in a
 // NIC ring at teardown — and then the pending-flow table is swept so
 // parked packets whose completions never arrived fail with ErrClosed too.
+// Each step takes the shard lock, so a submitter's inline job in progress
+// finishes with real results first; the final step marks the shard
+// stopped, turning later inline attempts into ErrClosed.
 func (w *worker) drain() {
 	for {
 		select {
 		case m := <-w.in:
-			if m.job == nil {
-				w.run(m)
-				continue
-			}
-			j := m.job
-			for i := range j.res {
-				j.res[i] = Result{Err: ErrClosed}
-				j.offer(j.res[i])
-			}
-			if j.done != nil {
-				j.done <- j
-			}
+			w.handle(m, true)
 		default:
+			w.mu.Lock()
 			w.sweepParked()
+			w.stopped = true
+			w.mu.Unlock()
+			w.out.flush()
 			return
 		}
 	}
@@ -741,9 +886,7 @@ func (s *Service) runExpiry(ctx context.Context) {
 			now := time.Now().UnixNano()
 			for _, w := range s.workers {
 				// A full queue skips this sweep; the next tick retries.
-				select {
-				case w.in <- message{control: func() { w.vs.ExpireIdle(now) }}:
-				default:
+				if !w.tryPost(message{control: func() { w.vs.ExpireIdle(now) }}) {
 					w.skips.Add(1)
 				}
 			}
@@ -751,22 +894,17 @@ func (s *Service) runExpiry(ctx context.Context) {
 	}
 }
 
-// onWorkers runs fn on every worker's own goroutine — a control op queued
-// behind the work already waiting there, since a worker's pipeline and
-// caches are single-threaded — and waits for all of them. fn runs
+// onWorkers runs fn on every worker's shard under its lock — a control op
+// queued behind the work already waiting there, since a worker's pipeline
+// and caches are single-threaded — and waits for all of them. fn runs
 // concurrently across workers. Cancelling ctx abandons the wait; ops
 // already queued still run.
 func (s *Service) onWorkers(ctx context.Context, fn func(i int, w *worker)) error {
 	done := make(chan struct{}, len(s.workers))
 	for i, w := range s.workers {
-		op := message{control: func() {
-			fn(i, w)
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
+		op := message{control: func() { fn(i, w) }, ack: done}
+		if !w.post(op, ctx.Done(), nil) {
 			return ctx.Err()
-		case w.in <- op:
 		}
 	}
 	for range s.workers {
@@ -780,7 +918,7 @@ func (s *Service) onWorkers(ctx context.Context, fn func(i int, w *worker)) erro
 }
 
 // UpdateRules applies a deterministic mutation to every worker's pipeline
-// replica (on the worker's own goroutine) and revalidates its cache
+// replica (under the worker's shard lock) and revalidates its cache
 // immediately. The function is called once per replica and must perform
 // the same logical change each time; an error from any replica is
 // returned (replicas that already applied it keep the change and a
@@ -807,8 +945,8 @@ func (s *Service) UpdateRules(ctx context.Context, fn func(p *gigaflow.Pipeline)
 	return nil
 }
 
-// Stats aggregates all workers' counters. It runs on the workers' own
-// goroutines for a coherent snapshot.
+// Stats aggregates all workers' counters. It runs under each worker's shard
+// lock for a coherent snapshot.
 func (s *Service) Stats(ctx context.Context) (gigaflow.VSwitchStats, error) {
 	per := make([]gigaflow.VSwitchStats, len(s.workers))
 	var out gigaflow.VSwitchStats
@@ -831,7 +969,7 @@ func (s *Service) Stats(ctx context.Context) (gigaflow.VSwitchStats, error) {
 }
 
 // CacheEntries sums cache entries across worker shards, snapshotted on
-// the workers' own goroutines.
+// each worker's shard lock.
 func (s *Service) CacheEntries() int {
 	per := make([]int, len(s.workers))
 	s.onWorkers(context.Background(), func(i int, w *worker) { per[i] = w.vs.CacheEntries() })
@@ -980,7 +1118,7 @@ type ShardStat struct {
 	CtEvicted    uint64 `json:"ct_evicted"`
 }
 
-// ShardStats snapshots every worker shard on its own goroutine (the same
+// ShardStats snapshots every worker shard under its lock (the same
 // control-op discipline as Stats, so the counters are coherent per
 // shard). The slice is indexed by worker.
 func (s *Service) ShardStats(ctx context.Context) ([]ShardStat, error) {

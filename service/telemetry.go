@@ -29,8 +29,8 @@ func (s *Service) Registry() *telemetry.Registry { return s.reg }
 // Sampling can be retuned at runtime with Tracer().SetSampling.
 func (s *Service) Tracer() *telemetry.Tracer { return s.tracer }
 
-// Collect refreshes the registry from every worker's cache state, on the
-// workers' own goroutines (cache internals are single-threaded). The
+// Collect refreshes the registry from every worker's cache state, under each
+// worker's shard lock (cache internals are single-threaded). The
 // HTTP handlers call this before rendering; expose it for embedders that
 // scrape the registry directly.
 func (s *Service) Collect(ctx context.Context) error {
@@ -94,8 +94,8 @@ type workerTelemetry struct {
 	gigaflow.VSwitchTelemetry
 }
 
-// cacheTelemetry snapshots every worker's cache hierarchy on the workers'
-// own goroutines.
+// cacheTelemetry snapshots every worker's cache hierarchy under each worker's
+// shard lock.
 func (s *Service) cacheTelemetry(ctx context.Context) ([]workerTelemetry, error) {
 	out := make([]workerTelemetry, len(s.workers))
 	if err := s.onWorkers(ctx, func(i int, w *worker) {
@@ -128,8 +128,8 @@ type latencyDoc struct {
 	Total   map[string]telemetry.LatencySnapshot `json:"total,omitempty"`
 }
 
-// latencyTelemetry snapshots every worker's latency histograms on the
-// workers' own goroutines and merges them into an aggregate ladder.
+// latencyTelemetry snapshots every worker's latency histograms under each
+// worker's shard lock and merges them into an aggregate ladder.
 func (s *Service) latencyTelemetry(ctx context.Context) (latencyDoc, error) {
 	doc := latencyDoc{}
 	if s.cfg.Latency.Disable {
@@ -174,7 +174,7 @@ type workerFlight struct {
 
 // flightTelemetry dumps up to n recent flight records per worker (n <= 0
 // means the whole ring), plus any retained spike captures, snapshotted on
-// the workers' own goroutines.
+// each worker's shard lock.
 func (s *Service) flightTelemetry(ctx context.Context, n int) ([]workerFlight, error) {
 	if s.cfg.Latency.Disable {
 		return nil, nil

@@ -100,7 +100,8 @@ func (w *worker) parkFallback(k gigaflow.Key, now int64) Result {
 	return Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err}
 }
 
-// complete applies one engine-completed miss on the worker goroutine:
+// complete applies one engine-completed miss on the worker goroutine,
+// under the shard lock:
 // detach the pending entry, finish the initiator (install via
 // CompleteMiss, or inline replay when the traversal failed, went stale,
 // or lost the race to a covering install), replay the followers through
@@ -153,22 +154,24 @@ func (w *worker) complete(m *upcall.Miss[parked], now int64) {
 }
 
 // deliver routes a completed packet's result back to its submitter: into
-// its job slot and the job's response stream, signalling the job's
-// completion channel when it was the last outstanding packet.
+// its job slot, then onto w.out for the job's response stream and, when it
+// was the last outstanding packet, the job's completion signal. Worker
+// goroutine only, under the shard lock.
 func (w *worker) deliver(p parked, r Result) {
 	j := p.job
 	j.res[p.idx] = r
-	if j.resp != nil {
-		j.resp <- r
+	w.out.stream(j, p.idx)
+	if j.settle() {
+		w.out.finish(j)
 	}
-	j.settle()
 }
 
 // sweepParked fails every packet still parked at shutdown with
 // ErrClosed, mirroring drain's treatment of queued jobs, so blocking
 // submitters waiting on parked packets always unblock before the
 // service's term channel closes. Response-stream sends are nonblocking,
-// like drain's — a fire-and-forget submitter may be gone.
+// like drain's — a fire-and-forget submitter may be gone. The caller
+// holds the shard lock and flushes w.out after releasing it.
 func (w *worker) sweepParked() {
 	if w.pending == nil {
 		return
@@ -178,7 +181,9 @@ func (w *worker) sweepParked() {
 			j := p.job
 			j.res[p.idx] = Result{Err: ErrClosed}
 			j.offer(j.res[p.idx])
-			j.settle()
+			if j.settle() {
+				w.out.finish(j)
+			}
 		}
 	})
 }
@@ -213,17 +218,15 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked
 				batch[j] = nil
 			}
 		}
-		select {
-		case s.workers[m.Shard].in <- message{comp: group}:
-		case <-ctx.Done():
+		if !s.workers[m.Shard].post(message{comp: group}, ctx.Done(), nil) {
 			return
 		}
 	}
 }
 
 // UpcallStats snapshots the asynchronous offload's counters: per-worker
-// pending-table state and overflow/stale counts gathered on the workers'
-// own goroutines, plus the shared queue and engine counters. Enabled is
+// pending-table state and overflow/stale counts gathered under each worker's
+// shard lock, plus the shared queue and engine counters. Enabled is
 // false (and the rest zero) when the service runs synchronously.
 type UpcallStats struct {
 	Enabled bool `json:"enabled"`

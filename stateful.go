@@ -56,7 +56,7 @@ func (v *VSwitch) ctServe(e *microflow.Entry, k *Key, tcpFlags uint8, now int64)
 		return true
 	}
 	if c.Epoch != e.CtEpoch ||
-		conntrack.MayTransition(c.State, e.CtDir, k.Get(flow.FieldIPProto), tcpFlags) {
+		conntrack.MayTransition(c.State, e.CtDir, k[flow.FieldIPProto], tcpFlags) {
 		return false
 	}
 	v.ct.Touch(c, now)
