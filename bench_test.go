@@ -95,23 +95,5 @@ func benchProcessBatchRec(b *testing.B, rec *telemetry.LatencyRecorder) {
 // (The enforced overhead gate lives in the service package, against the
 // deployed datapath; this benchmark is the raw per-batch view.)
 func BenchmarkVSwitchProcessBatchRecorded(b *testing.B) {
-	benchProcessBatchRec(b, telemetry.NewLatencyRecorder(0, 0))
-}
-
-// BenchmarkVSwitchCacheHitTraced attaches a tracer with sampling disabled:
-// the only added cost on the hit path must be one atomic load.
-func BenchmarkVSwitchCacheHitTraced(b *testing.B) {
-	vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64},
-		WithTracer(NewTracer(0, 64)))
-	k := demoKey(1, 80)
-	if _, err := vs.Process(k, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vs.Process(k, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProcessBatchRec(b, telemetry.NewLatencyRecorder(0, 0, 0))
 }

@@ -72,7 +72,7 @@ func runLatency(p experiments.Params, jsonPath string) (*stats.Table, error) {
 
 	report := latencyReport{Pipeline: spec.Name, Flows: flows, Seed: p.Seed}
 	for _, backend := range []string{"gigaflow", "megaflow"} {
-		rec := telemetry.NewLatencyRecorder(1<<12, 0)
+		rec := telemetry.NewLatencyRecorder(1<<12, 0, 0)
 		var v *gigaflow.VSwitch
 		if backend == "gigaflow" {
 			v = gigaflow.NewVSwitch(w.Pipeline,

@@ -201,11 +201,8 @@ var EstimateResources = nic.EstimateResources
 // gauges, log2 histograms) with Prometheus-text and JSON exposition.
 type MetricsRegistry = telemetry.Registry
 
-// Tracer samples per-packet traversal traces into a bounded ring; attach
-// to a VSwitch with WithTracer.
-type Tracer = telemetry.Tracer
-
-// TraversalTrace is one sampled packet's stage-by-stage record.
+// TraversalTrace is one sampled packet's stage-by-stage record, kept by
+// the LatencyRecorder that timed the packet (see WithLatencyRecorder).
 type TraversalTrace = telemetry.Trace
 
 // TraceStage is one step within a TraversalTrace.
@@ -213,10 +210,6 @@ type TraceStage = telemetry.Stage
 
 // NewMetricsRegistry creates an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// NewTracer creates a tracer sampling 1-in-sampleEvery packets (0
-// disables) with a ring of buffer recent traces.
-func NewTracer(sampleEvery, buffer int) *Tracer { return telemetry.NewTracer(sampleEvery, buffer) }
 
 // Pipeline models --------------------------------------------------------
 

@@ -9,10 +9,11 @@ import (
 )
 
 // LockDiscipline enforces the service's worker control-packet design: the
-// fast path never takes a lock, and the few locks that exist (registry
-// families, tracer ring, service lifecycle) are held briefly and released
-// on every path. Two rules, checked per function over sync.Mutex /
-// sync.RWMutex (including embedded) lock sites:
+// datapath kernel never takes a lock, and the few locks that exist
+// (registry families, each shard's lock, the slow-path traversal lock,
+// service lifecycle) are released on every path. Two rules, checked per
+// function over sync.Mutex / sync.RWMutex (including embedded) lock
+// sites:
 //
 //  1. A lock acquired in a function must be released on all paths: either
 //     a defer of the matching unlock, or an unlock reachable on every

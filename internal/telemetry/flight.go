@@ -13,7 +13,7 @@ const (
 	FlightInstall                      // slow path installed a cache entry
 	FlightInstallErr                   // install attempted and rejected
 	FlightEvict                        // the install evicted a resident entry
-	FlightTraced                       // packet was diverted to the sampling tracer
+	FlightTraced                       // packet was sampled for a traversal trace
 	FlightEstimated                    // latency is a run estimate, not an exact stamp
 	FlightDeferred                     // miss resolved asynchronously by the upcall engine
 )
@@ -125,12 +125,23 @@ type LatencyRecorder struct {
 
 	spikes   uint64
 	captures []FlightCapture
+
+	// Sampled traversal traces (trace.go); traces is nil with sampling off.
+	traceEvery uint64 // 1-in-N sampling rate, 0 when off
+	traceLeft  uint64 // packets until the next sample
+	tracing    bool   // a sampled packet's trace is open
+	stageStart int64  // monotonic offset the open stage began at
+	cur        Trace  // the open trace
+	traces     []Trace
+	traceCount uint64 // traces finished; the next goes to traceCount%maxTraces
 }
 
 // NewLatencyRecorder builds a recorder with the given ring size (rounded
-// up to a power of two; 0 means DefaultFlightRecords) and spike
-// threshold (0 disables spike captures).
-func NewLatencyRecorder(ringSize int, spike time.Duration) *LatencyRecorder {
+// up to a power of two; 0 means DefaultFlightRecords), spike threshold
+// (0 disables spike captures), and traversal-trace sampling rate: one
+// packet in sampleEvery is traced (0 or less disables tracing and
+// allocates no trace storage).
+func NewLatencyRecorder(ringSize int, spike time.Duration, sampleEvery int) *LatencyRecorder {
 	if ringSize <= 0 {
 		ringSize = DefaultFlightRecords
 	}
@@ -139,7 +150,7 @@ func NewLatencyRecorder(ringSize int, spike time.Duration) *LatencyRecorder {
 		size <<= 1
 	}
 	base := time.Now()
-	return &LatencyRecorder{
+	r := &LatencyRecorder{
 		base:    base,
 		anchor:  base.UnixNano(), // wall and monotonic offset 0 correspond here
 		spikeNs: int64(spike),
@@ -147,6 +158,11 @@ func NewLatencyRecorder(ringSize int, spike time.Duration) *LatencyRecorder {
 		runs:    make([]runInfo, size),
 		mask:    uint64(size - 1),
 	}
+	if sampleEvery > 0 {
+		r.traceEvery, r.traceLeft = uint64(sampleEvery), uint64(sampleEvery)
+		r.traces = make([]Trace, maxTraces)
+	}
+	return r
 }
 
 // BeginBatch opens an attribution batch anchored at the caller's wall
@@ -241,7 +257,7 @@ func (r *LatencyRecorder) closeRun(d int64) {
 }
 
 // ColdBegin marks the point where a packet leaves the hit path (slow-path
-// miss or tracer divert): it closes any open hit run and stamps the cold
+// miss or sampled trace): it closes any open hit run and stamps the cold
 // start. Idempotent until the matching Cold call. Cold paths are µs-scale,
 // so these two clock reads are noise there.
 func (r *LatencyRecorder) ColdBegin() {
@@ -259,10 +275,11 @@ func (r *LatencyRecorder) ColdBegin() {
 }
 
 // Cold records an exactly-timed cold event begun at the preceding
-// ColdBegin, attributed to tier with the given flags. FlightTraced
-// events land in the ring but are excluded from the tier histograms and
-// spike captures: a traced packet's latency includes the tracing work
-// itself, and folding that in would report the observer as the tail.
+// ColdBegin, attributed to tier with the given flags. It finishes the
+// open trace, if any, from the record it writes. FlightTraced events
+// land in the ring but are excluded from the tier histograms and spike
+// captures: a traced packet's latency includes the tracing work itself,
+// and folding that in would report the observer as the tail.
 func (r *LatencyRecorder) Cold(tier Tier, keyHash uint64, flags uint8) {
 	if !r.inCold {
 		r.ColdBegin() // defensive: a cold record without a begin times ~0
@@ -283,6 +300,9 @@ func (r *LatencyRecorder) Cold(tier Tier, keyHash uint64, flags uint8) {
 	r.seq++
 	r.inCold = false
 	r.runStart = d
+	if r.tracing {
+		r.finishTrace(s)
+	}
 	if flags&FlightTraced != 0 {
 		return
 	}
@@ -405,9 +425,9 @@ func clampLat(ns int64) int32 {
 	return int32(ns)
 }
 
-// --- Owner-goroutine readers (serve control ops and experiments) ------
+// --- Owner readers (serve control ops and experiments) -----------------
 
-// Histogram returns the per-tier histogram. Owner-goroutine only.
+// Histogram returns the per-tier histogram. Owner only.
 func (r *LatencyRecorder) Histogram(t Tier) *LatencyHistogram { return &r.hist[t] }
 
 // TierSnapshots computes the percentile ladder for every tier.
@@ -463,7 +483,7 @@ func (r *LatencyRecorder) Captures() []FlightCapture {
 	return out
 }
 
-// Reset clears histograms, ring, captures, and counters; used between
+// Reset clears histograms, ring, captures, traces, and counters; used between
 // experiment phases so each phase reports its own ladder.
 func (r *LatencyRecorder) Reset() {
 	for t := range r.hist {
@@ -480,6 +500,10 @@ func (r *LatencyRecorder) Reset() {
 	r.pending = [NumTiers]uint32{}
 	r.inCold = false
 	r.captures = nil
+	for i := range r.traces {
+		r.traces[i] = Trace{}
+	}
+	r.traceLeft, r.traceCount, r.tracing = r.traceEvery, 0, false
 	r.base = time.Now()
 	r.anchor = r.base.UnixNano()
 	r.anchorOff, r.runStart = 0, 0

@@ -61,9 +61,10 @@ func (t *Tier) UnmarshalJSON(b []byte) error {
 // LatencyHistogram is a log-linear histogram of nanosecond latencies
 // (stats.LatBucketIndex layout: 16 linear sub-buckets per octave, ≤6.25%
 // relative quantile error). It is deliberately not concurrency-safe:
-// each worker owns one per tier and folds observations in on its own
-// goroutine, so the hot path pays plain stores — readers snapshot
-// through worker control ops, never concurrently.
+// each shard's recorder owns one per tier, and whoever holds the shard's
+// lock folds observations in, so the hot path pays plain stores —
+// readers snapshot through control ops under the same lock, never
+// concurrently.
 type LatencyHistogram struct {
 	counts [stats.LatNumBuckets]uint64
 	count  uint64
@@ -142,7 +143,7 @@ type LatencySnapshot struct {
 	P999   float64 `json:"p999_ns"`
 }
 
-// Snapshot computes the percentile ladder. Owner-goroutine only, like
+// Snapshot computes the percentile ladder. Owner only, like
 // every histogram method.
 func (h *LatencyHistogram) Snapshot() LatencySnapshot {
 	s := LatencySnapshot{Count: h.count, MaxNs: h.max}

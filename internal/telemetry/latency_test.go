@@ -62,7 +62,7 @@ func TestLatencyHistogramObserveNMergeReset(t *testing.T) {
 // TestFlightRecorderWrapOrdering drives more records than the ring holds
 // and checks overwrite-on-wrap semantics and newest-first dumps.
 func TestFlightRecorderWrapOrdering(t *testing.T) {
-	r := NewLatencyRecorder(8, 0)
+	r := NewLatencyRecorder(8, 0, 0)
 	if r.RingSize() != 8 {
 		t.Fatalf("RingSize = %d, want 8", r.RingSize())
 	}
@@ -118,7 +118,7 @@ func TestFlightRecorderWrapOrdering(t *testing.T) {
 // TestFlightRecorderRunEstimation: hits in one run share a uniform
 // latency estimate anchored at the batch's wall clock.
 func TestFlightRecorderRunEstimation(t *testing.T) {
-	r := NewLatencyRecorder(64, 0)
+	r := NewLatencyRecorder(64, 0, 0)
 	const anchor = int64(1_000_000)
 	r.BeginBatch(anchor)
 	r.Hit(TierMicroflow, 1)
@@ -154,7 +154,7 @@ func TestFlightRecorderRunEstimation(t *testing.T) {
 // flags, and close the preceding hit run; traced events stay out of the
 // histograms.
 func TestFlightRecorderCold(t *testing.T) {
-	r := NewLatencyRecorder(64, 0)
+	r := NewLatencyRecorder(64, 0, 0)
 	r.BeginBatch(5000)
 	r.Hit(TierMicroflow, 1)
 	r.ColdBegin()
@@ -202,7 +202,7 @@ func TestFlightRecorderCold(t *testing.T) {
 // close the preceding hit run, and feed only the traversal time into the
 // tier histogram.
 func TestFlightRecorderDeferred(t *testing.T) {
-	r := NewLatencyRecorder(64, 0)
+	r := NewLatencyRecorder(64, 0, 0)
 	r.BeginBatch(9000)
 	r.Hit(TierMicroflow, 1)
 	r.Deferred(TierSlowpath, 77, FlightMiss|FlightInstall, 2500, 40000)
@@ -241,7 +241,7 @@ func TestFlightRecorderDeferred(t *testing.T) {
 // over an old Deferred occupant must not inherit its ParkNs — neither
 // exactly-stamped cold events nor run-resolved hits.
 func TestFlightRecorderParkScrub(t *testing.T) {
-	r := NewLatencyRecorder(2, 0) // two slots: everything wraps fast
+	r := NewLatencyRecorder(2, 0, 0) // two slots: everything wraps fast
 	r.BeginBatch(1000)
 	r.Deferred(TierSlowpath, 1, FlightMiss, 100, 9999)
 	r.Deferred(TierSlowpath, 2, FlightMiss, 100, 9999)
@@ -262,7 +262,7 @@ func TestFlightRecorderParkScrub(t *testing.T) {
 // TestFlightRecorderSpike: a latency past the threshold snapshots the
 // ring window around the spike.
 func TestFlightRecorderSpike(t *testing.T) {
-	r := NewLatencyRecorder(16, time.Microsecond)
+	r := NewLatencyRecorder(16, time.Microsecond, 0)
 	r.BeginBatch(1)
 	r.Hit(TierMicroflow, 1)
 	r.ColdBegin()

@@ -1,14 +1,16 @@
 // Package telemetry is the repo's stdlib-only observability layer: a
 // concurrent metrics registry (atomic counters, gauges, and log2-bucketed
 // histograms with label support, exposed in Prometheus text and JSON
-// formats) and a sampling per-packet traversal tracer keeping a bounded
-// ring of recent traces.
+// formats) and the single-writer per-shard LatencyRecorder: per-tier
+// latency histograms, a flight ring of per-packet records, spike
+// captures, and 1-in-N sampled traversal traces annotated onto those
+// records.
 //
 // The layer is built for a hot packet path: counters and gauges are single
 // atomic words, histograms are arrays of atomic buckets sharing
-// internal/stats.Histogram's log2 layout, and the tracer allocates only
-// for the 1-in-N packets actually sampled — with sampling disabled the
-// whole fast path costs one nil check.
+// internal/stats.Histogram's log2 layout, and the recorder uses plain
+// stores, allocating only for the 1-in-N packets actually traced — with
+// sampling disabled a packet pays one branch on a per-batch flag.
 package telemetry
 
 import (

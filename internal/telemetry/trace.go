@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Stage is one step of a packet's traversal trace: a cache-tier lookup, a
 // per-LTM-table match, the slowpath pipeline walk, or rule installation.
@@ -30,7 +26,12 @@ type Stage struct {
 	DurNs int64 `json:"dur_ns,omitempty"`
 }
 
-// Trace is the record of one sampled packet's walk through the vSwitch.
+// Trace is the stage-annotated view of one sampled packet's flight
+// record. Seq, StartUnixNs, TotalNs and the hit flags come from that
+// record: Seq is its sequence number in the recorder (the record is the
+// Seq-th written), TotalNs its LatNs, StartUnixNs its timestamp minus
+// that latency, and the hit flags follow from its tier. Worker is left
+// for the owner to fill in.
 type Trace struct {
 	Seq          uint64  `json:"seq"`
 	StartUnixNs  int64   `json:"start_unix_ns"`
@@ -44,160 +45,116 @@ type Trace struct {
 	Stages       []Stage `json:"stages"`
 }
 
-// Tracer samples 1-in-N packets and keeps the most recent traces in a
-// bounded ring. Start is safe for concurrent use from many workers; with
-// sampling disabled (every == 0) it is a single atomic load and never
-// allocates.
-type Tracer struct {
-	every   atomic.Uint64
-	n       atomic.Uint64
-	sampled atomic.Uint64
+// maxTraces is how many finished traces a recorder retains (oldest
+// overwritten); a power of two.
+const maxTraces = 256
 
-	mu   sync.Mutex
-	ring []Trace
-	pos  int
-	fill int
-	seq  uint64
-}
+// Sampled-packet tracing. A recorder built with a sampling rate N > 0
+// traces one packet in N: the caller asks Sample once per packet (only
+// while SampleEvery is non-zero, which it reads once per batch), opens
+// the sampled packet's trace with TraceBegin — the exact cold stamp its
+// flight record is timed from — annotates stages, and the packet's Cold
+// call, flagged FlightTraced, finishes the trace from the same stamp that
+// writes its record. Finished traces stay in a ring of maxTraces; with
+// N == 0 no trace storage exists.
 
-// NewTracer creates a tracer sampling one packet in sampleEvery (0
-// disables sampling entirely) with a ring of buffer recent traces
-// (default 256).
-func NewTracer(sampleEvery, buffer int) *Tracer {
-	if buffer <= 0 {
-		buffer = 256
-	}
-	t := &Tracer{ring: make([]Trace, buffer)}
-	if sampleEvery > 0 {
-		t.every.Store(uint64(sampleEvery))
-	}
-	return t
-}
+// SampleEvery reports the 1-in-N trace sampling rate (0: tracing off).
+func (r *LatencyRecorder) SampleEvery() int { return int(r.traceEvery) }
 
-// SetSampling changes the sampling rate at runtime (0 disables).
-func (t *Tracer) SetSampling(sampleEvery int) {
-	if sampleEvery < 0 {
-		sampleEvery = 0
-	}
-	t.every.Store(uint64(sampleEvery))
-}
+// Sampled reports how many traces have been finished since construction
+// (or the last Reset).
+func (r *LatencyRecorder) Sampled() uint64 { return r.traceCount }
 
-// SampleEvery reports the current 1-in-N rate (0 when disabled).
-func (t *Tracer) SampleEvery() int { return int(t.every.Load()) }
-
-// Sampled reports how many traces have been recorded since creation.
-func (t *Tracer) Sampled() uint64 { return t.sampled.Load() }
-
-// Start returns a builder when this packet is sampled and nil otherwise.
-// The caller guards every recording call on the returned pointer, so an
-// unsampled packet pays one atomic increment and no allocation; only
-// sampled packets reach the allocating newBuilder.
+// Sample counts one packet toward the sampling rate and reports whether
+// it is the one in N to trace. Call only while SampleEvery is non-zero.
 //
 //gf:hotpath
-func (t *Tracer) Start() *TraceBuilder {
-	every := t.every.Load()
-	if every == 0 || t.n.Add(1)%every != 0 {
-		return nil
+func (r *LatencyRecorder) Sample() bool {
+	r.traceLeft--
+	if r.traceLeft != 0 {
+		return false
 	}
-	return t.newBuilder()
+	r.traceLeft = r.traceEvery
+	return true
 }
 
-// newBuilder stamps the wall clock and allocates the builder for a
-// sampled packet. Cold by construction: called once per 1-in-N packets.
+// TraceBegin opens the sampled packet's trace: it takes the cold stamp
+// (ColdBegin) the packet's exactly-timed record starts at and records the
+// rendered flow key.
+func (r *LatencyRecorder) TraceBegin(key string) {
+	r.ColdBegin()
+	r.cur = Trace{Key: key, Stages: r.cur.Stages[:0]}
+	r.tracing = true
+}
+
+// StageBegin opens a timed stage of the open trace.
 //
-//gf:hotpath-safe runs once per sampled packet; stamps the wall clock and allocates the builder by contract
-func (t *Tracer) newBuilder() *TraceBuilder {
-	now := time.Now()
-	return &TraceBuilder{
-		tracer: t,
-		start:  now,
-		tr:     Trace{StartUnixNs: now.UnixNano()},
-	}
+//gf:hotpath-safe sampled packets only; appends a stage and reads the clock by contract
+func (r *LatencyRecorder) StageBegin(name string) {
+	r.cur.Stages = append(r.cur.Stages, Stage{Name: name, Table: -1, Tag: -1, Priority: -1})
+	r.stageStart = int64(time.Since(r.base))
 }
 
-// Recent returns up to max traces, newest first (all buffered traces when
-// max <= 0).
-func (t *Tracer) Recent(max int) []Trace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.fill
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]Trace, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (t.pos - 1 - i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
-	}
-	return out
-}
-
-func (t *Tracer) record(tr Trace) {
-	t.mu.Lock()
-	t.seq++
-	tr.Seq = t.seq
-	t.ring[t.pos] = tr
-	t.pos = (t.pos + 1) % len(t.ring)
-	if t.fill < len(t.ring) {
-		t.fill++
-	}
-	t.mu.Unlock()
-	t.sampled.Add(1)
-}
-
-// TraceBuilder accumulates one packet's trace. It is used by a single
-// goroutine (the worker processing the packet) and pushed into the
-// tracer's ring on Finish.
-type TraceBuilder struct {
-	tracer     *Tracer
-	start      time.Time
-	stageStart time.Time
-	tr         Trace
-}
-
-// SetKey records the packet's flow key (rendered lazily by the caller so
-// unsampled packets never pay for the string).
-func (b *TraceBuilder) SetKey(k string) { b.tr.Key = k }
-
-// SetWorker records the worker that processed the packet.
-func (b *TraceBuilder) SetWorker(w string) { b.tr.Worker = w }
-
-// Begin opens a timed stage.
+// StageEnd closes the most recently opened stage, recording its duration
+// and hit flag.
 //
-//gf:hotpath-safe a builder exists only for a sampled packet; stages append and read the clock by contract
-func (b *TraceBuilder) Begin(name string) {
-	b.tr.Stages = append(b.tr.Stages, Stage{Name: name, Table: -1, Tag: -1, Priority: -1})
-	b.stageStart = time.Now()
-}
-
-// End closes the most recently opened stage, recording its duration and
-// hit flag.
-//
-//gf:hotpath-safe a builder exists only for a sampled packet; closing a stage reads the clock by contract
-func (b *TraceBuilder) End(hit bool) {
-	s := &b.tr.Stages[len(b.tr.Stages)-1]
-	s.DurNs = time.Since(b.stageStart).Nanoseconds()
+//gf:hotpath-safe sampled packets only; closing a stage reads the clock by contract
+func (r *LatencyRecorder) StageEnd(hit bool) {
+	s := &r.cur.Stages[len(r.cur.Stages)-1]
+	s.DurNs = int64(time.Since(r.base)) - r.stageStart
 	s.Hit = hit
 }
 
-// Note appends an annotation stage (no duration): one matched LTM table
-// with its index, tag, and priority.
+// StageNote appends an annotation stage (no duration): one matched LTM
+// table with its index, tag, and priority.
 //
-//gf:hotpath-safe a builder exists only for a sampled packet; annotations append by contract
-func (b *TraceBuilder) Note(name string, table, tag, priority int) {
-	b.tr.Stages = append(b.tr.Stages, Stage{
+//gf:hotpath-safe sampled packets only; annotations append by contract
+func (r *LatencyRecorder) StageNote(name string, table, tag, priority int) {
+	r.cur.Stages = append(r.cur.Stages, Stage{
 		Name: name, Table: table, Tag: tag, Priority: priority, Hit: true,
 	})
 }
 
-// Finish stamps the outcome and pushes the trace into the ring.
-func (b *TraceBuilder) Finish(verdict string, cacheHit, microflowHit bool, err error) {
-	b.tr.Verdict = verdict
-	b.tr.CacheHit = cacheHit
-	b.tr.MicroflowHit = microflowHit
+// TraceVerdict records the open trace's outcome; the packet's Cold call
+// finishes it.
+func (r *LatencyRecorder) TraceVerdict(verdict string, err error) {
+	r.cur.Verdict = verdict
 	if err != nil {
-		b.tr.Err = err.Error()
+		r.cur.Err = err.Error()
 	}
-	b.tr.TotalNs = time.Since(b.start).Nanoseconds()
-	b.tracer.record(b.tr)
+}
+
+// finishTrace closes the open trace from the flight record rec that Cold
+// just wrote, and retains it. The evicted trace's stage buffer becomes
+// the next trace's, so steady-state tracing allocates only the rendered key and verdict.
+func (r *LatencyRecorder) finishTrace(rec *FlightRecord) {
+	r.cur.Seq = r.seq
+	r.cur.TotalNs = int64(rec.LatNs)
+	r.cur.StartUnixNs = rec.TS - r.cur.TotalNs
+	r.cur.CacheHit = rec.Tier < TierSlowpath
+	r.cur.MicroflowHit = rec.Tier == TierMicroflow
+	slot := &r.traces[r.traceCount%maxTraces]
+	spare := slot.Stages
+	*slot = r.cur
+	r.cur.Stages = spare
+	r.traceCount++
+	r.tracing = false
+}
+
+// Traces copies up to n of the newest retained traces, newest first
+// (n <= 0: every retained trace).
+func (r *LatencyRecorder) Traces(n int) []Trace {
+	avail := r.traceCount
+	if avail > maxTraces {
+		avail = maxTraces
+	}
+	if n > 0 && uint64(n) < avail {
+		avail = uint64(n)
+	}
+	out := make([]Trace, avail)
+	for i := uint64(0); i < avail; i++ {
+		out[i] = r.traces[(r.traceCount-1-i)%maxTraces]
+		out[i].Stages = append([]Stage(nil), out[i].Stages...) // the ring reuses its buffers
+	}
+	return out
 }

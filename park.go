@@ -45,7 +45,7 @@ func (v *VSwitch) ProcessMissInline(k Key, now int64) (ProcessResult, error) {
 	if v.rec != nil {
 		v.rec.BeginBatch(now)
 	}
-	return v.miss(k, k, nil, conntrack.DirForward, telemetry.TierSlowpath, now, nil)
+	return v.miss(k, k, nil, conntrack.DirForward, telemetry.TierSlowpath, now, false)
 }
 
 // CompleteMiss finishes a parked miss whose traversal the upcall engine

@@ -145,11 +145,9 @@ type LatencyConfig struct {
 	// Disable turns off attribution (per-tier nanosecond histograms and
 	// the flight-recorder ring, served on /latency and /debug/flight).
 	// Attribution is on by default: its hot path adds two clock reads
-	// per batch and plain stores per packet.
+	// per batch and plain stores per packet. Each worker's ring holds
+	// telemetry.DefaultFlightRecords records.
 	Disable bool
-	// FlightRecords sizes each worker's flight-recorder ring, rounded up
-	// to a power of two (default 4096).
-	FlightRecords int
 	// Spike, when set, snapshots a worker's flight ring whenever a
 	// packet's latency meets or exceeds it, so a tail spike comes with
 	// the events that surrounded it (0 disables spike captures).
@@ -157,14 +155,11 @@ type LatencyConfig struct {
 }
 
 func (c LatencyConfig) validate() error {
-	if c.FlightRecords < 0 {
-		return fmt.Errorf("service: negative Latency.FlightRecords (%d)", c.FlightRecords)
-	}
 	if c.Spike < 0 {
 		return fmt.Errorf("service: negative Latency.Spike (%v)", c.Spike)
 	}
-	if c.Disable && (c.FlightRecords != 0 || c.Spike != 0) {
-		return errors.New("service: Latency.FlightRecords/Spike set but Latency.Disable turns attribution off")
+	if c.Disable && c.Spike != 0 {
+		return errors.New("service: Latency.Spike set but Latency.Disable turns attribution off")
 	}
 	return nil
 }
@@ -261,12 +256,12 @@ type Config struct {
 	// address for the service's lifetime (e.g. "127.0.0.1:9090"; use
 	// port 0 to pick a free port, readable via Service.TelemetryAddr).
 	TelemetryAddr string
-	// TraceSample records a full traversal trace for one in N processed
-	// packets (0 disables tracing; the packet path then carries a single
-	// branch and no allocations).
+	// TraceSample records a full traversal trace for one in N packets,
+	// counted per worker; each worker's flight recorder keeps its most
+	// recent traces (0 disables tracing; the packet path then carries a
+	// single branch and no allocations). Traces live in the recorder, so
+	// setting it with Latency.Disable is a configuration error.
 	TraceSample int
-	// TraceBuffer bounds the ring of retained traces (default 256).
-	TraceBuffer int
 }
 
 // validate rejects nonsensical configurations instead of silently
@@ -283,6 +278,9 @@ func (c Config) validate() error {
 	}
 	if c.TraceSample < 0 {
 		return fmt.Errorf("service: negative TraceSample (%d)", c.TraceSample)
+	}
+	if c.TraceSample > 0 && c.Latency.Disable {
+		return errors.New("service: TraceSample set but Latency.Disable turns off the flight recorder that keeps traces")
 	}
 	if err := c.Expiry.validate(); err != nil {
 		return err
@@ -344,9 +342,6 @@ func (c Config) withDefaults() Config {
 		if c.MegaflowCapacity <= 0 {
 			c.MegaflowCapacity = 32768
 		}
-	}
-	if c.TraceBuffer <= 0 {
-		c.TraceBuffer = 256
 	}
 	c.Expiry = c.Expiry.withDefaults()
 	c.Upcall = c.Upcall.withDefaults()
@@ -536,7 +531,6 @@ type Service struct {
 	eng *upcall.Engine[parked]
 
 	reg     *telemetry.Registry
-	tracer  *telemetry.Tracer
 	latency *telemetry.Histogram
 	frames  *frameMetrics
 	started atomic.Int64 // start wall time (unix ns); 0 before Start
@@ -560,10 +554,9 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:    cfg,
-		reg:    telemetry.NewRegistry(),
-		tracer: telemetry.NewTracer(cfg.TraceSample, cfg.TraceBuffer),
-		term:   make(chan struct{}),
+		cfg:  cfg,
+		reg:  telemetry.NewRegistry(),
+		term: make(chan struct{}),
 	}
 	s.latency = s.reg.Histogram("gigaflow_submit_latency_ns",
 		"End-to-end Submit latency (enqueue to result) in nanoseconds.")
@@ -605,7 +598,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		for id, parts := range natParts {
 			replica.SetNATPool(id, parts[i])
 		}
-		opts := []gigaflow.VSwitchOption{gigaflow.WithTracer(s.tracer)}
+		var opts []gigaflow.VSwitchOption
 		if cfg.Expiry.MaxIdle > 0 {
 			opts = append(opts, gigaflow.WithMaxIdle(cfg.Expiry.MaxIdle.Nanoseconds()))
 		}
@@ -627,7 +620,8 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		if !cfg.Latency.Disable {
 			// One recorder per worker: like the VSwitch it instruments, its
 			// state is single-writer: whoever holds the shard lock drives it.
-			rec = telemetry.NewLatencyRecorder(cfg.Latency.FlightRecords, cfg.Latency.Spike)
+			// It also samples and keeps the worker's traversal traces.
+			rec = telemetry.NewLatencyRecorder(telemetry.DefaultFlightRecords, cfg.Latency.Spike, cfg.TraceSample)
 			opts = append(opts, gigaflow.WithLatencyRecorder(rec))
 		}
 		w := &worker{

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
 	"time"
 
@@ -25,27 +26,33 @@ const collectTimeout = 2 * time.Second
 // /cache, or Collect call; registry reads are always safe.
 func (s *Service) Registry() *telemetry.Registry { return s.reg }
 
-// Tracer returns the service's traversal tracer (shared by all workers).
-// Sampling can be retuned at runtime with Tracer().SetSampling.
-func (s *Service) Tracer() *telemetry.Tracer { return s.tracer }
-
 // Collect refreshes the registry from every worker's cache state, under each
 // worker's shard lock (cache internals are single-threaded). The
 // HTTP handlers call this before rendering; expose it for embedders that
 // scrape the registry directly.
 func (s *Service) Collect(ctx context.Context) error {
-	if err := s.onWorkers(ctx, func(_ int, w *worker) {
+	sampled := make([]uint64, len(s.workers))
+	if err := s.onWorkers(ctx, func(i int, w *worker) {
 		w.vs.CollectMetrics(s.reg, w.label)
 		w.collectUpcallMetrics(s.reg)
+		if w.rec != nil {
+			sampled[i] = w.rec.Sampled()
+		}
 	}); err != nil {
 		return err
 	}
+	var total uint64
+	for _, n := range sampled {
+		total += n
+	}
+	s.reg.Counter("gigaflow_traces_sampled_total",
+		"Traversal traces recorded by the sampler.").Set(total)
 	s.collectServiceMetrics()
 	return nil
 }
 
 // collectServiceMetrics refreshes service-owned gauges readable from any
-// goroutine: queue state, drop counters, tracer and uptime stats.
+// goroutine: queue state, drop counters and uptime.
 func (s *Service) collectServiceMetrics() {
 	depth := s.reg.GaugeVec("gigaflow_queue_depth",
 		"Packets waiting in the worker's input queue.", "worker")
@@ -76,8 +83,6 @@ func (s *Service) collectServiceMetrics() {
 			"Engine drain batches executed.").Set(s.eng.Batches())
 	}
 	s.reg.Gauge("gigaflow_workers", "Forwarding workers.").Set(float64(len(s.workers)))
-	s.reg.Counter("gigaflow_traces_sampled_total",
-		"Traversal traces recorded by the sampler.").Set(s.tracer.Sampled())
 	if t := s.started.Load(); t > 0 {
 		s.reg.Gauge("gigaflow_uptime_seconds", "Seconds since Start.").
 			Set(time.Since(time.Unix(0, t)).Seconds())
@@ -197,6 +202,37 @@ func (s *Service) flightTelemetry(ctx context.Context, n int) ([]workerFlight, e
 	return out, nil
 }
 
+// traceTelemetry gathers up to n sampled traces (n <= 0: every retained
+// one) from each worker's recorder under its shard lock, labels them with
+// their worker, and merges them newest first, capped at n in total. It
+// also sums the workers' sampled counts.
+func (s *Service) traceTelemetry(ctx context.Context, n int) ([]telemetry.Trace, uint64, error) {
+	traces := []telemetry.Trace{}
+	if s.cfg.TraceSample == 0 {
+		return traces, 0, nil
+	}
+	per := make([][]telemetry.Trace, len(s.workers))
+	sampled := make([]uint64, len(s.workers))
+	if err := s.onWorkers(ctx, func(i int, w *worker) {
+		per[i], sampled[i] = w.rec.Traces(n), w.rec.Sampled()
+		for j := range per[i] {
+			per[i][j].Worker = w.label
+		}
+	}); err != nil {
+		return nil, 0, err
+	}
+	var total uint64
+	for i := range per {
+		traces = append(traces, per[i]...)
+		total += sampled[i]
+	}
+	sort.SliceStable(traces, func(a, b int) bool { return traces[a].StartUnixNs > traces[b].StartUnixNs })
+	if n > 0 && len(traces) > n {
+		traces = traces[:n]
+	}
+	return traces, total, nil
+}
+
 // TelemetryHandler returns the introspection mux:
 //
 //	/metrics      Prometheus text (?format=json for JSON)
@@ -235,85 +271,45 @@ func (s *Service) TelemetryHandler() http.Handler {
 		s.reg.Handler().ServeHTTP(w, r)
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		n := 0
-		if q := r.URL.Query().Get("n"); q != "" {
-			n, _ = strconv.Atoi(q)
-		}
-		traces := s.tracer.Recent(n)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			SampleEvery int               `json:"sample_every"`
-			Sampled     uint64            `json:"sampled_total"`
-			Traces      []telemetry.Trace `json:"traces"`
-		}{s.tracer.SampleEvery(), s.tracer.Sampled(), traces})
+		serveJSON(w, r, func(ctx context.Context) (any, error) {
+			traces, sampled, err := s.traceTelemetry(ctx, queryInt(r, "n", 0))
+			return struct {
+				SampleEvery int               `json:"sample_every"`
+				Sampled     uint64            `json:"sampled_total"`
+				Traces      []telemetry.Trace `json:"traces"`
+			}{s.cfg.TraceSample, sampled, traces}, err
+		})
 	})
 	mux.HandleFunc("/cache", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
-		defer cancel()
-		workers, err := s.cacheTelemetry(ctx)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Backend string            `json:"backend"`
-			Workers []workerTelemetry `json:"workers"`
-		}{s.cfg.Backend.String(), workers})
+		serveJSON(w, r, func(ctx context.Context) (any, error) {
+			workers, err := s.cacheTelemetry(ctx)
+			return struct {
+				Backend string            `json:"backend"`
+				Workers []workerTelemetry `json:"workers"`
+			}{s.cfg.Backend.String(), workers}, err
+		})
 	})
 	mux.HandleFunc("/shards", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
-		defer cancel()
-		shards, err := s.ShardStats(ctx)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Workers   int         `json:"workers"`
-			Conntrack bool        `json:"conntrack"`
-			Shards    []ShardStat `json:"shards"`
-		}{len(s.workers), s.cfg.Conntrack.Enable, shards})
+		serveJSON(w, r, func(ctx context.Context) (any, error) {
+			shards, err := s.ShardStats(ctx)
+			return struct {
+				Workers   int         `json:"workers"`
+				Conntrack bool        `json:"conntrack"`
+				Shards    []ShardStat `json:"shards"`
+			}{len(s.workers), s.cfg.Conntrack.Enable, shards}, err
+		})
 	})
 	mux.HandleFunc("/latency", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
-		defer cancel()
-		doc, err := s.latencyTelemetry(ctx)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
+		serveJSON(w, r, func(ctx context.Context) (any, error) { return s.latencyTelemetry(ctx) })
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		n := 256
-		if q := r.URL.Query().Get("n"); q != "" {
-			n, _ = strconv.Atoi(q)
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
-		defer cancel()
-		workers, err := s.flightTelemetry(ctx, n)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Enabled bool           `json:"enabled"`
-			Workers []workerFlight `json:"workers,omitempty"`
-		}{!s.cfg.Latency.Disable, workers})
+		serveJSON(w, r, func(ctx context.Context) (any, error) {
+			workers, err := s.flightTelemetry(ctx, queryInt(r, "n", 256))
+			return struct {
+				Enabled bool           `json:"enabled"`
+				Workers []workerFlight `json:"workers,omitempty"`
+			}{!s.cfg.Latency.Disable, workers}, err
+		})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -322,6 +318,32 @@ func (s *Service) TelemetryHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
+}
+
+// serveJSON answers a JSON endpoint: collect gathers the document under
+// collectTimeout (worker state is read through control ops), a failed
+// collection is a 503, and the document is rendered indented.
+func serveJSON(w http.ResponseWriter, r *http.Request, collect func(ctx context.Context) (any, error)) {
+	ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
+	defer cancel()
+	doc, err := collect(ctx)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(doc)
+}
+
+// queryInt reads an integer query parameter, def when absent.
+func queryInt(r *http.Request, name string, def int) int {
+	if q := r.URL.Query().Get(name); q != "" {
+		n, _ := strconv.Atoi(q)
+		return n
+	}
+	return def
 }
 
 // telemetryServer owns the HTTP listener started from Config.TelemetryAddr.

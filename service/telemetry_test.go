@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gigaflow"
+	"gigaflow/internal/telemetry"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -30,6 +31,10 @@ func TestConfigValidation(t *testing.T) {
 		{"expiry without maxidle", Config{Expiry: ExpiryConfig{Every: time.Second}}, "MaxIdle is 0"},
 		{"negative microflow", Config{MicroflowCapacity: -1}, "MicroflowCapacity"},
 		{"negative trace sample", Config{TraceSample: -1}, "TraceSample"},
+		{"trace sample without recorder",
+			Config{TraceSample: 1, Latency: LatencyConfig{Disable: true}}, "Latency.Disable"},
+		{"spike without recorder",
+			Config{Latency: LatencyConfig{Disable: true, Spike: time.Microsecond}}, "Latency.Disable"},
 		{"megaflow cap on gigaflow backend", Config{MegaflowCapacity: 100}, "BackendGigaflow"},
 		{"gigaflow cache on megaflow backend",
 			Config{Backend: BackendMegaflow, Cache: gigaflow.CacheConfig{NumTables: 4}},
@@ -196,7 +201,6 @@ func TestTracesEndpoint(t *testing.T) {
 		Workers:     1,
 		Cache:       gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		TraceSample: 1, // trace every packet
-		TraceBuffer: 16,
 	})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
@@ -240,6 +244,79 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no gigaflow hit stage in %+v", newest.Stages)
+	}
+}
+
+// TestTracesEndpointTwoWorkers: each worker's recorder samples its own
+// packets, and /traces merges the workers' traces newest first, labels
+// every trace with its worker, caps the merged list at ?n=, and sums
+// the workers' sampled counts (also exported as
+// gigaflow_traces_sampled_total).
+func TestTracesEndpointTwoWorkers(t *testing.T) {
+	s, base := startTelemetryService(t, Config{
+		Workers:     2,
+		Cache:       gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
+		TraceSample: 1,
+	})
+	ctx := context.Background()
+	const packets = 40
+	for i := 0; i < packets; i++ {
+		if _, err := s.Submit(ctx, key(uint64(i%20), 80)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type tracesDoc struct {
+		SampleEvery int `json:"sample_every"`
+		Sampled     int `json:"sampled_total"`
+		Traces      []struct {
+			Seq         uint64 `json:"seq"`
+			StartUnixNs int64  `json:"start_unix_ns"`
+			Worker      string `json:"worker"`
+		} `json:"traces"`
+	}
+	get := func(url string) tracesDoc {
+		var doc tracesDoc
+		out := httpGet(t, url)
+		if err := json.Unmarshal([]byte(out), &doc); err != nil {
+			t.Fatalf("traces JSON: %v\n%s", err, out)
+		}
+		return doc
+	}
+	all := get(base + "/traces")
+	if all.SampleEvery != 1 || all.Sampled != packets || len(all.Traces) != packets {
+		t.Fatalf("sample_every=%d sampled=%d traces=%d, want 1/%d/%d",
+			all.SampleEvery, all.Sampled, len(all.Traces), packets, packets)
+	}
+	workers := map[string]int{}
+	for i, tr := range all.Traces {
+		if tr.Worker == "" {
+			t.Fatalf("traces[%d] has no worker", i)
+		}
+		workers[tr.Worker]++
+		if i > 0 && all.Traces[i-1].StartUnixNs < tr.StartUnixNs {
+			t.Errorf("traces not newest first at %d: %d then %d", i, all.Traces[i-1].StartUnixNs, tr.StartUnixNs)
+		}
+	}
+	if len(workers) != 2 || workers["0"] == 0 || workers["1"] == 0 {
+		t.Errorf("traces per worker = %v, want both workers", workers)
+	}
+
+	capped := get(base + "/traces?n=5")
+	if len(capped.Traces) != 5 || capped.Sampled != packets {
+		t.Fatalf("?n=5 returned %d traces (sampled %d), want 5 (%d)", len(capped.Traces), capped.Sampled, packets)
+	}
+	for i, tr := range capped.Traces {
+		if tr != all.Traces[i] {
+			t.Errorf("capped[%d] = %+v, want the newest %+v", i, tr, all.Traces[i])
+		}
+	}
+
+	if err := s.Collect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Registry().Counter("gigaflow_traces_sampled_total", "Traversal traces recorded by the sampler.").Value(); got != packets {
+		t.Errorf("gigaflow_traces_sampled_total = %d, want %d", got, packets)
 	}
 }
 
@@ -407,7 +484,6 @@ func TestFlightEndpoint(t *testing.T) {
 	s, base := startTelemetryService(t, Config{
 		Workers: 1,
 		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
-		Latency: LatencyConfig{FlightRecords: 64},
 	})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
@@ -440,8 +516,8 @@ func TestFlightEndpoint(t *testing.T) {
 		t.Fatalf("enabled=%v workers=%d, want true/1", doc.Enabled, len(doc.Workers))
 	}
 	w := doc.Workers[0]
-	if w.Seq != 10 || w.RingSize != 64 || w.Batches != 10 {
-		t.Errorf("seq=%d ring=%d batches=%d, want 10/64/10", w.Seq, w.RingSize, w.Batches)
+	if w.Seq != 10 || w.RingSize != telemetry.DefaultFlightRecords || w.Batches != 10 {
+		t.Errorf("seq=%d ring=%d batches=%d, want 10/%d/10", w.Seq, w.RingSize, w.Batches, telemetry.DefaultFlightRecords)
 	}
 	if len(w.Records) != 6 {
 		t.Fatalf("got %d records, want 6 (n=6)", len(w.Records))
@@ -457,6 +533,74 @@ func TestFlightEndpoint(t *testing.T) {
 		if i > 0 && w.Records[i-1].TS < rec.TS {
 			t.Errorf("records not newest-first at %d", i)
 		}
+	}
+}
+
+// TestSpikeCaptureService turns on Latency.Spike through the service: a
+// 1ns threshold makes every cold miss a spike, so /debug/flight must
+// return captures ending in their trigger and echo the threshold, and
+// gigaflow_latency_spikes_total must count them. The same traffic with
+// every packet traced fires no capture: traced packets are stamped
+// exactly but kept out of spike triggers, like the tier histograms.
+func TestSpikeCaptureService(t *testing.T) {
+	type flightDoc struct {
+		Workers []struct {
+			SpikeNs  int64                     `json:"spike_ns"`
+			Spikes   uint64                    `json:"spikes"`
+			Captures []telemetry.FlightCapture `json:"captures"`
+		} `json:"workers"`
+	}
+	run := func(traceSample int) (flightDoc, uint64) {
+		s, base := startTelemetryService(t, Config{
+			Workers:     1,
+			Cache:       gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
+			Latency:     LatencyConfig{Spike: time.Nanosecond},
+			TraceSample: traceSample,
+		})
+		ctx := context.Background()
+		for port := uint64(1000); port < 1008; port++ { // each port misses
+			if _, err := s.Submit(ctx, key(1, port)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var doc flightDoc
+		out := httpGet(t, base+"/debug/flight")
+		if err := json.Unmarshal([]byte(out), &doc); err != nil || len(doc.Workers) != 1 {
+			t.Fatalf("flight JSON (%v):\n%s", err, out)
+		}
+		if err := s.Collect(ctx); err != nil {
+			t.Fatal(err)
+		}
+		spikes := s.Registry().CounterVec("gigaflow_latency_spikes_total",
+			"Flight-recorder spike captures triggered.", "worker").With("0").Value()
+		return doc, spikes
+	}
+
+	doc, spikes := run(0)
+	w := doc.Workers[0]
+	if w.SpikeNs != int64(time.Nanosecond) {
+		t.Errorf("spike_ns = %d, want the configured %d", w.SpikeNs, time.Nanosecond)
+	}
+	if len(w.Captures) == 0 || w.Spikes == 0 || spikes != w.Spikes {
+		t.Fatalf("captures=%d spikes=%d metric=%d, want captures and a matching metric", len(w.Captures), w.Spikes, spikes)
+	}
+	misses := 0
+	for i, c := range w.Captures {
+		last := c.Records[len(c.Records)-1]
+		if int64(last.LatNs) != c.TriggerNs || c.TriggerNs < w.SpikeNs {
+			t.Errorf("capture %d: last record %+v is not the %dns trigger", i, last, c.TriggerNs)
+		}
+		if last.Flags&telemetry.FlightMiss != 0 {
+			misses++
+		}
+	}
+	if misses == 0 {
+		t.Errorf("no capture triggered by a cold miss")
+	}
+
+	doc, spikes = run(1)
+	if w := doc.Workers[0]; len(w.Captures) != 0 || w.Spikes != 0 || spikes != 0 {
+		t.Errorf("traced traffic fired captures=%d spikes=%d metric=%d, want none", len(w.Captures), w.Spikes, spikes)
 	}
 }
 
@@ -494,7 +638,6 @@ func TestConcurrentScrape(t *testing.T) {
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		MicroflowCapacity: 256,
 		TraceSample:       8,
-		Latency:           LatencyConfig{FlightRecords: 128},
 	})
 	ctx := context.Background()
 	stop := make(chan struct{})

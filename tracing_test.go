@@ -7,16 +7,16 @@ import (
 	"gigaflow/internal/telemetry"
 )
 
-// tracedTwins builds two identical switches, one sampling every packet
-// into a tracer and one untraced, both with a latency recorder so the
-// traced packets' exact-stamp records are exercised too.
-func tracedTwins(pipe func() *Pipeline, opts ...VSwitchOption) (traced, plain *VSwitch, tr *telemetry.Tracer) {
+// tracedTwins builds two identical switches, one whose latency recorder
+// samples every packet for a trace and one untraced, both with a latency
+// recorder so the traced packets' exact-stamp records are exercised too.
+func tracedTwins(pipe func() *Pipeline, opts ...VSwitchOption) (traced, plain *VSwitch, tr *telemetry.LatencyRecorder) {
 	cfg := CacheConfig{NumTables: 4, TableCapacity: 1024}
-	tr = NewTracer(1, 64)
+	tr = telemetry.NewLatencyRecorder(0, 0, 1)
 	traced = NewVSwitch(pipe(), cfg, append(opts[:len(opts):len(opts)],
-		WithTracer(tr), WithLatencyRecorder(telemetry.NewLatencyRecorder(0, 0)))...)
+		WithLatencyRecorder(tr))...)
 	plain = NewVSwitch(pipe(), cfg, append(opts[:len(opts):len(opts)],
-		WithLatencyRecorder(telemetry.NewLatencyRecorder(0, 0)))...)
+		WithLatencyRecorder(telemetry.NewLatencyRecorder(0, 0, 0)))...)
 	return traced, plain, tr
 }
 
@@ -212,4 +212,112 @@ func runParkProtocol(t *testing.T, v *VSwitch, keys []Key, now int64) ([]Process
 		}
 	}
 	return out, errs, kernel
+}
+
+// TestTraceIsFlightRecord checks that a sampled packet is one event, not
+// two: every retained trace is the stage-annotated view of a FlightTraced
+// record in the same recorder's ring, with the same sequence number, the
+// record's latency as its total, the record's timestamp as its end, and
+// hit flags that agree with the record's tier and with the packet's
+// ProcessResult. It drives microflow hits, main-cache hits, inline misses
+// and parked misses through a switch sampling every packet, on both
+// backends.
+func TestTraceIsFlightRecord(t *testing.T) {
+	for _, backend := range []string{"gigaflow", "megaflow"} {
+		t.Run(backend, func(t *testing.T) {
+			opts := []VSwitchOption{WithMicroflow(4)}
+			mainTier := telemetry.TierGigaflow
+			if backend == "megaflow" {
+				opts = append(opts, WithMegaflowBackend(4096))
+				mainTier = telemetry.TierMegaflow
+			}
+			rec := telemetry.NewLatencyRecorder(4096, 0, 1)
+			v := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 4, TableCapacity: 1024},
+				append(opts, WithLatencyRecorder(rec))...)
+
+			type want struct {
+				res    ProcessResult
+				parked bool
+			}
+			var sent []want
+
+			// A parked miss and its second-chance lookup, both traced;
+			// the completion's Deferred record is not.
+			k := demoKey(1, 22)
+			for i := 0; i < 2; i++ {
+				_, parked, err := processPark(v, k, 0)
+				if err != nil || !parked {
+					t.Fatalf("cold key did not park (err %v)", err)
+				}
+				sent = append(sent, want{parked: true})
+			}
+			trav, err := v.Pipeline().Process(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.CompleteMiss(k, trav, 0, 100, 50); err != nil {
+				t.Fatal(err)
+			}
+			// Inline traffic: 16 flows through a 4-entry microflow tier,
+			// each packet sent twice, so the second of a pair is a
+			// microflow hit and the first a main-cache hit or a miss.
+			for round := int64(1); round <= 3; round++ {
+				for src := uint64(0); src < 16; src++ {
+					port := []uint64{80, 443}[src%2]
+					for i := 0; i < 2; i++ {
+						r, err := v.Process(demoKey(src, port), round)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sent = append(sent, want{res: r})
+					}
+				}
+			}
+
+			traces := rec.Traces(0)
+			if len(traces) != len(sent) || rec.Sampled() != uint64(len(sent)) {
+				t.Fatalf("%d traces retained, %d sampled; want one per kernel packet (%d)",
+					len(traces), rec.Sampled(), len(sent))
+			}
+			records := rec.Recent(0) // newest first: records[i] has sequence number Seq()-i
+			tiers := map[telemetry.Tier]int{}
+			parks := 0
+			for j, tr := range traces {
+				w := sent[len(sent)-1-j] // traces are newest first
+				i := rec.Seq() - tr.Seq
+				if i >= uint64(len(records)) {
+					t.Fatalf("trace seq %d: record no longer resident", tr.Seq)
+				}
+				fr := records[i]
+				if fr.Flags&telemetry.FlightTraced == 0 {
+					t.Fatalf("trace seq %d: record %+v is not FlightTraced", tr.Seq, fr)
+				}
+				if tr.TotalNs != int64(fr.LatNs) || tr.StartUnixNs != fr.TS-int64(fr.LatNs) {
+					t.Errorf("trace seq %d: total %d start %d, record lat %d ts %d",
+						tr.Seq, tr.TotalNs, tr.StartUnixNs, fr.LatNs, fr.TS)
+				}
+				if tr.CacheHit != (fr.Tier < telemetry.TierSlowpath) || tr.MicroflowHit != (fr.Tier == telemetry.TierMicroflow) {
+					t.Errorf("trace seq %d: cache_hit=%v microflow_hit=%v, record tier %v",
+						tr.Seq, tr.CacheHit, tr.MicroflowHit, fr.Tier)
+				}
+				if tr.CacheHit != w.res.CacheHit || tr.MicroflowHit != w.res.MicroflowHit {
+					t.Errorf("trace seq %d: cache_hit=%v microflow_hit=%v, packet result %+v",
+						tr.Seq, tr.CacheHit, tr.MicroflowHit, w.res)
+				}
+				if w.parked {
+					parks++
+					if last := tr.Stages[len(tr.Stages)-1]; last.Name != "park" ||
+						fr.Tier != telemetry.TierSlowpath || fr.Flags&telemetry.FlightMiss == 0 {
+						t.Errorf("parked trace seq %d: last stage %+v, record %+v", tr.Seq, last, fr)
+					}
+				} else if tr.Verdict != w.res.Verdict.String() {
+					t.Errorf("trace seq %d: verdict %q, packet verdict %q", tr.Seq, tr.Verdict, w.res.Verdict)
+				}
+				tiers[fr.Tier]++
+			}
+			if parks != 2 || tiers[telemetry.TierMicroflow] == 0 || tiers[mainTier] == 0 || tiers[telemetry.TierSlowpath] <= parks {
+				t.Errorf("tiers traced %v with %d parks: want microflow, %v, inline slowpath and 2 parks", tiers, parks, mainTier)
+			}
+		})
+	}
 }

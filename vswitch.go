@@ -30,8 +30,7 @@ type VSwitch struct {
 
 	maxIdle   int64
 	ctMaxIdle int64                      // conntrack idle expiry, independent of the cache tiers'
-	tracer    *telemetry.Tracer          // optional traversal tracer (sampled)
-	rec       *telemetry.LatencyRecorder // optional latency attribution + flight ring
+	rec       *telemetry.LatencyRecorder // optional latency attribution, flight ring and sampled traces
 	slowMu    *sync.Mutex                // optional slow-path traversal lock (async upcall mode)
 	stats     VSwitchStats
 
@@ -111,21 +110,17 @@ func WithMicroflow(capacity int) VSwitchOption {
 	return func(v *VSwitch) { v.uf = microflow.New(capacity) }
 }
 
-// WithTracer attaches a sampling traversal tracer: 1-in-N processed
-// packets record every stage they touch (microflow lookup, per-LTM-table
-// matches, slowpath traversal, rule installation) with per-stage
-// nanosecond timings into the tracer's ring. Unsampled packets pay one
-// atomic increment; a nil tracer (or sampling disabled) costs a single
-// branch and no allocation.
-func WithTracer(t *telemetry.Tracer) VSwitchOption {
-	return func(v *VSwitch) { v.tracer = t }
-}
-
 // WithLatencyRecorder attaches a latency attribution layer: every packet
 // is timed (exactly on cold paths, run-estimated on hit runs — see
 // telemetry.LatencyRecorder), attributed to the tier that resolved it,
-// and logged into the recorder's flight ring. Like the VSwitch itself
-// the recorder is single-threaded; give each VSwitch its own.
+// and logged into the recorder's flight ring. A recorder built with a
+// trace sampling rate also traces 1-in-N packets: each sampled packet
+// records every stage it touches (microflow lookup, per-LTM-table
+// matches, slowpath traversal, rule installation) with per-stage
+// nanosecond timings, finished from the same exact stamp as its
+// FlightTraced record. With sampling off a packet pays one branch on a
+// per-call local. Like the VSwitch itself the recorder is
+// single-threaded; give each VSwitch its own.
 func WithLatencyRecorder(r *telemetry.LatencyRecorder) VSwitchOption {
 	return func(v *VSwitch) { v.rec = r }
 }
@@ -257,8 +252,9 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 // flags holds per-packet TCP flag bytes (nil reads as flagless). parked
 // is the miss policy: nil runs misses inline; otherwise a miss sets
 // parked[i], zeroes out[i], and counts nothing (see park.go). A packet
-// the tracer samples takes exactly the path an unsampled one would; its
-// stages are recorded behind tb != nil through //gf:hotpath-safe hooks.
+// the recorder samples for a trace takes exactly the path an unsampled
+// one would; its stages are recorded behind the traced branch through
+// //gf:hotpath-safe hooks.
 //
 // VSwitch counters and each cache tier's lookup counters accumulate in
 // locals and flush once per call; the cold callees (miss, the ct guards)
@@ -279,8 +275,10 @@ func (v *VSwitch) process(keys []Key, flags []uint8, out []ProcessResult, errs [
 	}
 	var parks, ufHits, mainHits uint64
 	ufb, gfb, mfb := &v.ufb, &v.gfb, &v.mfb
+	sampling := false
 	if v.rec != nil {
 		v.rec.BeginBatch(now)
+		sampling = v.rec.SampleEvery() != 0
 	}
 	for i := range keys {
 		k := keys[i]
@@ -292,27 +290,27 @@ func (v *VSwitch) process(keys []Key, flags []uint8, out []ProcessResult, errs [
 		if parked != nil {
 			parked[i] = false
 		}
-		var tb *telemetry.TraceBuilder
-		if v.tracer != nil {
-			if tb = v.tracer.Start(); tb != nil {
-				v.traceOpen(tb, k)
+		traced := false
+		if sampling {
+			if traced = v.rec.Sample(); traced {
+				v.traceOpen(k)
 			}
 		}
 
 		if v.uf != nil {
-			if tb != nil {
-				tb.Begin("microflow")
+			if traced {
+				v.rec.StageBegin("microflow")
 			}
 			e, ok := ufb.Lookup(k, now)
 			served := ok && (v.ct == nil || v.ctServe(e, &k, fl, now))
-			if tb != nil {
-				tb.End(served)
+			if traced {
+				v.rec.StageEnd(served)
 			}
 			if served {
 				ufHits++
 				out[i] = ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}
-				if tb != nil {
-					v.traceHit(tb, telemetry.TierMicroflow, v.uf.LastHash(), &out[i])
+				if traced {
+					v.traceHit(telemetry.TierMicroflow, v.uf.LastHash(), &out[i])
 				} else if v.rec != nil {
 					v.rec.Hit(telemetry.TierMicroflow, v.uf.LastHash())
 				}
@@ -328,35 +326,35 @@ func (v *VSwitch) process(keys []Key, flags []uint8, out []ProcessResult, errs [
 		kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
 		tier := telemetry.TierSlowpath
 		if v.ct != nil {
-			if tb != nil {
-				tb.Begin("conntrack")
+			if traced {
+				v.rec.StageBegin("conntrack")
 			}
 			var bits uint64
 			bits, conn, dir = v.ct.Track(k, fl, now)
 			kt = k.With(flow.FieldCtState, bits)
-			if tb != nil {
-				tb.End(conn != nil)
+			if traced {
+				v.rec.StageEnd(conn != nil)
 			}
 		}
 
 		if v.gf != nil {
-			if tb != nil {
-				tb.Begin("gigaflow")
+			if traced {
+				v.rec.StageBegin("gigaflow")
 			}
 			res := gfb.Lookup(kt, now)
 			valid := res.Hit && (v.ct == nil || v.ctPathValid(res.Path))
-			if tb != nil {
-				tb.End(valid)
+			if traced {
+				v.rec.StageEnd(valid)
 				for _, e := range res.Path {
-					tb.Note("ltm-table", e.TableIndex(), e.Tag, e.Priority)
+					v.rec.StageNote("ltm-table", e.TableIndex(), e.Tag, e.Priority)
 				}
 			}
 			if valid {
 				mainHits++
 				v.memoizeCt(k, res.Final, res.Verdict, now, conn, dir)
 				out[i] = ProcessResult{Verdict: res.Verdict, Final: res.Final, CacheHit: true}
-				if tb != nil {
-					v.traceHit(tb, telemetry.TierGigaflow, kt.FlowHash(), &out[i])
+				if traced {
+					v.traceHit(telemetry.TierGigaflow, kt.FlowHash(), &out[i])
 				} else if v.rec != nil {
 					v.rec.Hit(telemetry.TierGigaflow, kt.FlowHash())
 				}
@@ -366,21 +364,21 @@ func (v *VSwitch) process(keys []Key, flags []uint8, out []ProcessResult, errs [
 				tier = telemetry.TierConntrack // stale entries revoked: replay
 			}
 		} else {
-			if tb != nil {
-				tb.Begin("megaflow")
+			if traced {
+				v.rec.StageBegin("megaflow")
 			}
 			e, ok := mfb.Lookup(kt, now)
 			valid := ok && (v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValid(e.CtConn, e.CtEpoch))
-			if tb != nil {
-				tb.End(valid)
+			if traced {
+				v.rec.StageEnd(valid)
 			}
 			if valid {
 				mainHits++
 				final, verdict := e.Apply(kt)
 				v.memoizeCt(k, final, verdict, now, conn, dir)
 				out[i] = ProcessResult{Verdict: verdict, Final: final, CacheHit: true}
-				if tb != nil {
-					v.traceHit(tb, telemetry.TierMegaflow, kt.FlowHash(), &out[i])
+				if traced {
+					v.traceHit(telemetry.TierMegaflow, kt.FlowHash(), &out[i])
 				} else if v.rec != nil {
 					v.rec.Hit(telemetry.TierMegaflow, kt.FlowHash())
 				}
@@ -397,12 +395,12 @@ func (v *VSwitch) process(keys []Key, flags []uint8, out []ProcessResult, errs [
 			parks++
 			parked[i] = true
 			out[i] = ProcessResult{}
-			if tb != nil {
-				v.tracePark(tb, kt.FlowHash())
+			if traced {
+				v.tracePark(kt.FlowHash())
 			}
 			continue
 		}
-		out[i], errs[i] = v.miss(k, kt, conn, dir, tier, now, tb)
+		out[i], errs[i] = v.miss(k, kt, conn, dir, tier, now, traced)
 	}
 	if v.rec != nil {
 		v.rec.EndBatch()
@@ -420,18 +418,19 @@ func (v *VSwitch) process(keys []Key, flags []uint8, out []ProcessResult, errs [
 // ct_state folded in (equal to k when tracking is off), conn/dir the
 // packet's tracked connection, tier the latency tier the miss is
 // attributed to (TierConntrack when a stale connection-dependent entry
-// forced the replay), and tb the packet's trace (nil unless sampled).
+// forced the replay), and traced whether the recorder holds an open trace
+// for the packet.
 //
 //gf:hotpath-safe slowpath traversal and rule install; misses are µs-scale and allocate by design
 func (v *VSwitch) miss(k, kt Key, conn *conntrack.Conn, dir conntrack.Dir,
-	tier telemetry.Tier, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
+	tier telemetry.Tier, now int64, traced bool) (ProcessResult, error) {
 	if v.rec != nil {
 		v.rec.ColdBegin() // no-op for a sampled packet, already cold
 	}
 	flight := telemetry.FlightMiss
-	if tb != nil {
+	if traced {
 		flight |= telemetry.FlightTraced
-		tb.Begin("slowpath")
+		v.rec.StageBegin("slowpath")
 	}
 	v.stats.CacheMisses++
 	v.stats.Slowpath++
@@ -449,26 +448,26 @@ func (v *VSwitch) miss(k, kt Key, conn *conntrack.Conn, dir conntrack.Dir,
 	if v.slowMu != nil {
 		v.slowMu.Unlock()
 	}
-	if tb != nil {
-		tb.End(err == nil)
+	if traced {
+		v.rec.StageEnd(err == nil)
 	}
 	if err != nil {
 		err = fmt.Errorf("gigaflow: slowpath: %w", err)
-		if tb != nil {
-			tb.Finish("", false, false, err)
+		if traced {
+			v.rec.TraceVerdict("", err)
 		}
 		if v.rec != nil {
 			v.rec.Cold(tier, kt.FlowHash(), flight)
 		}
 		return ProcessResult{}, err
 	}
-	if tb != nil {
-		tb.Begin("partition+install")
+	if traced {
+		v.rec.StageBegin("partition+install")
 	}
 	flight |= v.install(k, tr, now, conn, dir)
-	if tb != nil {
-		tb.End(flight&telemetry.FlightInstall != 0)
-		tb.Finish(tr.Verdict.String(), false, false, nil)
+	if traced {
+		v.rec.StageEnd(flight&telemetry.FlightInstall != 0)
+		v.rec.TraceVerdict(tr.Verdict.String(), nil)
 	}
 	if v.rec != nil {
 		v.rec.Cold(tier, kt.FlowHash(), flight)
@@ -512,35 +511,27 @@ func (v *VSwitch) install(k Key, tr *Traversal, now int64, conn *conntrack.Conn,
 // histograms.
 //
 //gf:hotpath-safe sampled 1-in-N packets only; renders the key and reads the clock by contract
-func (v *VSwitch) traceOpen(tb *telemetry.TraceBuilder, k Key) {
-	if v.rec != nil {
-		v.rec.ColdBegin()
-	}
-	tb.SetKey(k.String())
+func (v *VSwitch) traceOpen(k Key) {
+	v.rec.TraceBegin(k.String())
 }
 
 // traceHit finishes a sampled packet's trace on a cache hit, with an
 // exactly-timed flight record in place of the run-estimated one.
 //
 //gf:hotpath-safe sampled 1-in-N packets only; renders the verdict and reads the clock by contract
-func (v *VSwitch) traceHit(tb *telemetry.TraceBuilder, tier telemetry.Tier, hash uint64, r *ProcessResult) {
-	tb.Finish(r.Verdict.String(), true, r.MicroflowHit, nil)
-	if v.rec != nil {
-		v.rec.Cold(tier, hash, telemetry.FlightTraced)
-	}
+func (v *VSwitch) traceHit(tier telemetry.Tier, hash uint64, r *ProcessResult) {
+	v.rec.TraceVerdict(r.Verdict.String(), nil)
+	v.rec.Cold(tier, hash, telemetry.FlightTraced)
 }
 
 // tracePark finishes a sampled packet's trace on a parked miss; the
 // slow-path stages belong to the engine and the completion.
 //
 //gf:hotpath-safe sampled 1-in-N packets only; reads the clock by contract
-func (v *VSwitch) tracePark(tb *telemetry.TraceBuilder, hash uint64) {
-	tb.Begin("park")
-	tb.End(true)
-	tb.Finish("", false, false, nil)
-	if v.rec != nil {
-		v.rec.Cold(telemetry.TierSlowpath, hash, telemetry.FlightTraced|telemetry.FlightMiss)
-	}
+func (v *VSwitch) tracePark(hash uint64) {
+	v.rec.StageBegin("park")
+	v.rec.StageEnd(true)
+	v.rec.Cold(telemetry.TierSlowpath, hash, telemetry.FlightTraced|telemetry.FlightMiss)
 }
 
 // Revalidate re-checks every cached entry against the current pipeline
